@@ -26,7 +26,7 @@ from . import specfun as sf
 from .errors import FpintError, UnknownItem
 from .finitepart import FpKernel, fp_epsilon_oracle, fp_infinite, fp_quartic
 from .funcmodel import builtin, quartic_rho0
-from .precision import PrecisionConfig, default_precision
+from .precision import PrecisionConfig, default_precision, sum_series
 from .pvoracle import QuadratureBudget, pv_transform
 
 SERIES_MAX_TERMS = 50_000
@@ -38,20 +38,7 @@ SAMPLE_SEED = 20240801
 
 def _sum_terms(term_fn: Callable[[int], complex], rel_tol: float = 1e-13,
                max_terms: int = SERIES_MAX_TERMS) -> complex:
-    total = 0.0 + 0.0j
-    peak = 0.0
-    small = 0
-    for n in range(max_terms):
-        t = complex(term_fn(n))
-        total += t
-        peak = max(peak, abs(total))
-        if abs(t) <= rel_tol * max(abs(total), 1e-3 * peak, 1e-300):
-            small += 1
-            if small >= 3 and n >= 4:
-                return total
-        else:
-            small = 0
-    raise FpintError(f"catalog series did not converge in {max_terms} terms")
+    return sum_series(term_fn, rel_tol, max_terms)[0]
 
 
 def _pfq(num, den, z) -> complex:

@@ -306,9 +306,24 @@ def _apply_job_file(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
+def _attach_negative_omega(argv: list[str]) -> list[str]:
+    """Rewrite '--omega -3:3:5' as '--omega=-3:3:5'.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    number (a negative grid) for an option, and reports a missing argument.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--omega" and tok[:1] == "-" and tok[1:2] in set("0123456789."):
+            out[-1] = f"--omega={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_omega(sys.argv[1:] if argv is None else argv))
     try:
         _apply_job_file(args)
         for field in getattr(args, "required_fields", ()):

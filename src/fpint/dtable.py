@@ -46,6 +46,15 @@ def d2(a: float, m: int, nu: float) -> complex:
     return (-1.0) ** m * math.pi / math.sin(math.pi * nu) * mag * phase
 
 
+def d2_log(a: float, k: int) -> complex:
+    """exp(i a x) against x^{-(k+1)}, the nu = 0 case of D.2:
+    -((ia)^k / k!) (ln|a| - i pi sgn(a)/2 - psi(k+1)), weights in log space."""
+    mag = math.exp(k * math.log(abs(a)) - math.lgamma(k + 1.0))
+    phase = cmath.exp(0.5j * math.pi * k * math.copysign(1.0, a))
+    return -(mag * phase) * (math.log(abs(a)) - 0.5j * math.pi * math.copysign(1.0, a)
+                             - _psi(k + 1.0))
+
+
 def d3(a: float, lam: float) -> float:
     """J0(a x)^2 against x^{-lam}, lam > 1 and not an odd integer."""
     _check(a > 0 and lam > 1, "need a>0, lam>1")
@@ -386,12 +395,7 @@ def _hook_exp_osc(a: float):
             return None
         if nu > 0.0:
             return d2(a, k, nu) if k >= 1 else None
-        kk = k - 1
-        mag = math.exp(kk * math.log(abs(a)) - math.lgamma(kk + 1.0))
-        phase = cmath.exp(0.5j * math.pi * kk * math.copysign(1.0, a))
-        return -(mag * phase) * (math.log(abs(a))
-                                 - 0.5j * math.pi * math.copysign(1.0, a)
-                                 - _psi(kk + 1.0))
+        return d2_log(a, k - 1)
     return hook
 
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dtable
-from . import specfun as sf
 from .errors import (DomainError, FitIllConditioned, NoConvergence,
                      TailNotIntegrable)
 from .funcmodel import AnalyticFunction, TailDecay
-from .precision import CONSECUTIVE_SMALL_TERMS, PrecisionConfig, default_precision
+from .precision import PrecisionConfig, default_precision, sum_series
 from .pvoracle import QuadratureBudget, adaptive_quad, tail_integral
 
 NU_SNAP = 1e-6
@@ -30,7 +29,7 @@ EXTENDED_CONDITION_CAP = 1e15  # guard on the ladder-augmented matrix
 
 def snap_nu(nu: float) -> float:
     """Snap nu within 1e-6 of 0 to the log path; reject nu within 1e-6 of 1."""
-    if nu < 0.0 or nu >= 1.0:
+    if not 0.0 <= nu < 1.0:
         raise DomainError(f"nu must lie in [0, 1), got {nu}")
     if nu < NU_SNAP:
         return 0.0
@@ -102,37 +101,21 @@ def _series_term(c: complex, a: float, ln_a: float, expo: float) -> complex:
 
 
 def _series_on(f: AnalyticFunction, a: float, k: int, nu: float,
-               precision: PrecisionConfig) -> tuple[complex, int, float]:
+               precision: PrecisionConfig) -> tuple[complex, int, float, float]:
     """sum_n c_n a^{n-k-nu+1}/(n-k-nu+1), log weight at n = k-1 when nu = 0."""
     e = k + nu
     ln_a = math.log(a)
-    # a zero of order m contributes m leading zero terms; the small-term stop
-    # must not fire before real mass has arrived
-    n_min = f.zero_order + k + 2
-    total = 0.0 + 0.0j
-    peak = 0.0
-    peak_term = 0.0
-    small = 0
-    last = 0.0
-    for n in range(precision.max_terms):
+
+    def term(n: int) -> complex:
         c = f.maclaurin(n)
         if nu == 0.0 and n == k - 1:
-            term = c * ln_a
-        else:
-            term = _series_term(c, a, ln_a, n - e + 1.0) / (n - e + 1.0)
-        total += term
-        peak = max(peak, abs(total))
-        peak_term = max(peak_term, abs(term))
-        last = abs(term)
-        if last <= precision.rel_tol * max(abs(total), 1e-3 * peak, 1e-300):
-            small += 1
-            if small >= CONSECUTIVE_SMALL_TERMS and n >= n_min:
-                return total, n + 1, last, peak_term
-        else:
-            small = 0
-    raise NoConvergence(
-        f"finite-part series for {f.name} (k={k}, nu={nu:g}, a={a:g}) "
-        f"did not converge in {precision.max_terms} terms")
+            return c * ln_a
+        return _series_term(c, a, ln_a, n - e + 1.0) / (n - e + 1.0)
+
+    # a zero of order m contributes m leading zero terms; the small-term stop
+    # must not fire before real mass has arrived
+    return sum_series(term, precision.rel_tol, precision.max_terms,
+                      first_stop=f.zero_order + k + 2)
 
 
 def fp_series_finite(f: AnalyticFunction, kernel: FpKernel,
@@ -216,13 +199,11 @@ def fp_infinite(f: AnalyticFunction, kernel: FpKernel,
 
 def fp_exp_osc(a: float, k: int) -> complex:
     """Closed form of ffp_0^inf e^{iax} x^-(k+1) dx for real a != 0, k >= 0."""
-    if a == 0.0:
-        raise DomainError("a must be nonzero")
+    if not (math.isfinite(a) and a != 0.0):
+        raise DomainError("a must be finite and nonzero")
     if k < 0 or int(k) != k:
         raise DomainError("k must be a non-negative integer")
-    return (-((1j * a) ** k) / math.factorial(k)
-            * (math.log(abs(a)) - 0.5j * math.pi * math.copysign(1.0, a)
-               - sf.digamma(k + 1.0)))
+    return dtable.d2_log(a, k)
 
 
 def _quartic_binomial_sum(k: int, two_beta: float) -> float:

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dtable
-from .errors import (AllZeroError, ConsistencyError, DomainError, NoConvergence,
-                     UnknownBuiltin)
+from .errors import AllZeroError, ConsistencyError, DomainError, UnknownBuiltin
+from .precision import sum_series
 
 # Tail-decay kinds
 TAIL_SUPEREXP = "superexponential"
@@ -147,20 +147,15 @@ class AnalyticFunction:
         if abs(z) > limit:
             raise DomainError(
                 f"{self.name}: complex evaluation by series needs |z| < 0.9 rho0")
-        total = 0.0 + 0.0j
         pw = 1.0 + 0.0j
-        small = 0
-        for n in range(600):
-            term = self.maclaurin(n) * pw
-            total += term
+
+        def term(n: int) -> complex:
+            nonlocal pw
+            t = self.maclaurin(n) * pw
             pw *= z
-            if abs(term) <= rel_tol * max(abs(total), 1e-300):
-                small += 1
-                if small >= 3 and n > 4:
-                    return total
-            else:
-                small = 0
-        raise NoConvergence(f"{self.name}: series evaluation stalled at |z|={abs(z):g}")
+            return t
+
+        return sum_series(term, rel_tol, 600, first_stop=5)[0]
 
     # -- derived functions ---------------------------------------------------
 
@@ -701,6 +696,10 @@ def builtin(name: str, **params) -> AnalyticFunction:
     missing = [a for a in arg_names if a not in merged]
     if missing:
         raise DomainError(f"{name}: missing parameters {missing}")
+    nonfinite = [a for a in arg_names
+                 if isinstance(merged[a], float) and not math.isfinite(merged[a])]
+    if nonfinite:
+        raise DomainError(f"{name}: parameters {nonfinite} must be finite")
     spec = factory(**{k: merged[k] for k in arg_names})
     hook_factory = dtable.HOOK_FACTORIES.get(name)
     fp_hook = hook_factory(merged) if hook_factory else None

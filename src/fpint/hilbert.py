@@ -4,11 +4,23 @@ Every variant is computed as
 
     value = convergent_prefix + finite_part_sum + singular_contribution
 
-where the prefix holds the ordinary integrals produced by a zero of order m
-at the origin (f = x^m g), the series sums powers of omega against half-line
-finite parts of g, and the singular contribution is the closed-form term the
-kernel singularity contributes (f(omega) ln omega, pi cot(pi nu) ... / omega^nu,
-and so on, by variant).  Parity of g selects the reduced forms.
+for f = x^m g (a zero of order m at the origin), from one table entry per
+variant: a list of series arms and one singular term.  An arm
+(c, z, p, step, j) sums, over k = 0, 1, ...,
+
+    c * z^(p + step k) * ffp_0^a h(x) x^-(j + step k + nu) dx
+
+with h = g (h = f for the Stieltjes kernel, z = -omega there).  Its terms
+with k < 0 and p + step k >= 0 have a kernel index j + step k <= 0: they are
+ordinary integrals, and together they are the convergent prefix.  The
+singular term is the closed form the kernel singularity contributes
+(f(omega) ln omega, pi cot(pi nu) ... / omega^nu, and so on, by variant).
+
+The Stieltjes and one-sided kernels have one arm of step 1.  The symmetric
+kernels, and the full-line kernels when g is even, share the two-arm parity
+form (c_even, c_odd): step 2 over odd (j = 1) and even (j = 2) kernel
+indices.  The full-line kernels for g of no parity have one arm of step 1
+whose h combines g(-x) and g(x).
 """
 
 from __future__ import annotations
@@ -20,10 +32,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceDomain, DomainError, NoConvergence, ProvisoViolated
+from .errors import ConvergenceDomain, DomainError, ProvisoViolated
 from .finitepart import resolve_fp, snap_nu
 from .funcmodel import AnalyticFunction, factor_zero, scaled
-from .precision import CONSECUTIVE_SMALL_TERMS, PrecisionConfig, default_precision
+from .precision import PrecisionConfig, default_precision, sum_series
 from .pvoracle import QuadratureBudget, regular_integral
 
 VARIANTS = ("stieltjes", "one_sided", "full_line", "full_line_sgn",
@@ -33,6 +45,7 @@ VARIANTS = ("stieltjes", "one_sided", "full_line", "full_line_sgn",
 _POSITIVE_OMEGA = {"stieltjes", "one_sided", "sym_omega", "sym_x"}
 _NU_REQUIRED = {"full_line_branch", "full_line_abs", "full_line_abs_sgn"}
 _NU_FORBIDDEN = {"full_line", "full_line_sgn"}
+_SGN = {"full_line_sgn", "full_line_abs_sgn"}
 
 OMEGA_MARGIN = 0.99
 RATIO_LIMIT = 0.999
@@ -51,6 +64,8 @@ class TransformSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
+        if not math.isfinite(self.omega):
+            raise DomainError(f"omega must be finite, got {self.omega}")
         object.__setattr__(self, "nu", snap_nu(self.nu))
         if self.variant in _NU_REQUIRED and self.nu == 0.0:
             raise DomainError(
@@ -78,13 +93,42 @@ class EvalReport:
     route_notes: list[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _Arm:
+    """Series arm sum_k c z^(p + step k) ffp_0^a h_k(x) x^-(j + step k + nu) dx.
+
+    h_k = g, or (-1)^k w g(-x) + s g(x) when gneg (x -> g(-x)) is set.
+    """
+
+    c: complex
+    z: float
+    p: int
+    g: AnalyticFunction
+    step: int = 1
+    j: int = 1
+    gneg: AnalyticFunction | None = None
+    w: complex = 1.0
+    s: float = -1.0
+
+
+def _prefix_integral(g: AnalyticFunction, power: float, a: float,
+                     budget: QuadratureBudget,
+                     combo: Callable[[np.ndarray], np.ndarray] | None = None) -> complex:
+    """int_0^a x^power * (combo, default g)(x) dx; power > -1."""
+    ev = combo if combo is not None else g.evaluate
+
+    def integrand(x: np.ndarray):
+        return x ** power * ev(x)
+
+    return regular_integral(integrand, 0.0, a, endpoint_nu=max(0.0, -power),
+                            budget=budget, tail=g.tail, tail_extra_power=-power)
+
+
 class _Engine:
     """Shared series/prefix machinery bound to one (f, spec) evaluation."""
 
     def __init__(self, f: AnalyticFunction, spec: TransformSpec,
-                 precision: PrecisionConfig, budget: QuadratureBudget,
-                 fp_mode: str, margin: float):
-        self.f = f
+                 precision: PrecisionConfig, budget: QuadratureBudget, fp_mode: str):
         self.spec = spec
         self.precision = precision
         self.budget = budget
@@ -94,14 +138,15 @@ class _Engine:
         # entire f on the whole half/full line has no convergence boundary:
         # the omega series is entire, and transient term growth is normal
         self.bounded_domain = math.isfinite(lim)
-        if self.bounded_domain and abs(spec.omega) > margin * lim:
+        if self.bounded_domain and abs(spec.omega) > OMEGA_MARGIN * lim:
             raise ConvergenceDomain(
-                f"|omega| = {abs(spec.omega):g} exceeds {margin:g} * min(a, rho0) "
-                f"= {margin * lim:g}; the series cannot converge reliably there")
+                f"|omega| = {abs(spec.omega):g} exceeds {OMEGA_MARGIN:g} * min(a, rho0) "
+                f"= {OMEGA_MARGIN * lim:g}; the series cannot converge reliably there")
         self._fp_cache: dict[tuple[int, float, float, int], tuple[complex, float]] = {}
         self._term_cancel = 1.0
 
-    def fp(self, fn: AnalyticFunction, k: int, nu: float) -> complex:
+    def fp(self, fn: AnalyticFunction, k: int) -> complex:
+        nu = self.spec.nu
         key = (k, nu, self.spec.a, id(fn))
         hit = self._fp_cache.get(key)
         if hit is None:
@@ -113,59 +158,38 @@ class _Engine:
         self._term_cancel = max(self._term_cancel, hit[1])
         return hit[0]
 
-    def prefix_integral(self, g: AnalyticFunction, power: float,
-                        combo: Callable[[np.ndarray], np.ndarray] | None = None) -> complex:
-        """int_0^a x^power * (combo of g(+-x)) dx; power > -1."""
-        ev = combo if combo is not None else (lambda x: g.evaluate(x))
-
-        def integrand(x: np.ndarray):
-            return x ** power * ev(x)
-
-        nu_end = max(0.0, -power)
-        return regular_integral(integrand, 0.0, self.spec.a, endpoint_nu=nu_end,
-                                budget=self.budget, tail=g.tail,
-                                tail_extra_power=-power)
-
-    def sum_series(self, term_fn: Callable[[int], complex]) -> tuple[complex, int, float]:
-        total = 0.0 + 0.0j
-        peak = 0.0
-        peak_term = 0.0
+    def arm_series(self, arm: _Arm) -> tuple[complex, int, float]:
+        """Sum the arm's series; per-term noise feeds the cancellation check."""
         noise = 0.0
-        small = 0
-        ratios: list[float] = []
-        prev_mag = None
-        tail_mag = 0.0
-        for k in range(self.precision.max_terms):
+
+        def term(k: int) -> complex:
+            nonlocal noise
             self._term_cancel = 1.0
-            t = complex(term_fn(k))
-            total += t
-            mag = abs(t)
-            peak = max(peak, abs(total))
-            peak_term = max(peak_term, mag)
-            noise += mag * self._term_cancel * 1e-16
-            floor = self.precision.rel_tol * max(abs(total), 1e-3 * peak, 1e-300)
-            if mag <= floor:
-                small += 1
-                tail_mag = max(tail_mag, mag)
-                if small >= CONSECUTIVE_SMALL_TERMS and k >= 4:
-                    self._check_cancellation(peak_term, noise, abs(total))
-                    return total, k + 1, tail_mag
+            n = arm.j + arm.step * k
+            if arm.gneg is None:
+                h = self.fp(arm.g, n)
             else:
-                small = 0
-                tail_mag = mag
-            if self.bounded_domain and prev_mag and mag > 0.0:
-                ratios.append(mag / prev_mag)
-                if len(ratios) > 6:
-                    ratios.pop(0)
-                if (k > 24 and len(ratios) == 6 and mag > floor
-                        and min(ratios) >= RATIO_LIMIT):
-                    raise ConvergenceDomain(
-                        f"series term ratio ~{min(ratios):.4f} >= {RATIO_LIMIT}; "
-                        "omega too close to min(a, rho0)")
-            if mag > 0.0:
-                prev_mag = mag
-        raise NoConvergence(
-            f"transform series did not converge within {self.precision.max_terms} terms")
+                h = (-1.0) ** k * arm.w * self.fp(arm.gneg, n) + arm.s * self.fp(arm.g, n)
+            t = complex(arm.c * arm.z ** (arm.p + arm.step * k) * h)
+            noise += abs(t) * self._term_cancel * 1e-16
+            return t
+
+        total, used, tail, peak_term = sum_series(
+            term, self.precision.rel_tol, self.precision.max_terms,
+            ratio_limit=RATIO_LIMIT if self.bounded_domain else None)
+        self._check_cancellation(peak_term, noise, abs(total))
+        return total, used, tail
+
+    def arm_prefix(self, arm: _Arm):
+        """Yield the arm's terms of non-positive kernel index (ordinary integrals)."""
+        g = arm.g
+        for k in range(-(arm.p // arm.step), 0):
+            combo = None
+            if arm.gneg is not None:
+                def combo(x: np.ndarray, _k=k):
+                    return (-1.0) ** _k * arm.w * g.evaluate(-x) + arm.s * g.evaluate(x)
+            yield arm.c * arm.z ** (arm.p + arm.step * k) * _prefix_integral(
+                g, -(arm.j + arm.step * k) - self.spec.nu, self.spec.a, self.budget, combo)
 
     def _check_cancellation(self, peak_term: float, noise: float,
                             total_mag: float) -> None:
@@ -203,191 +227,105 @@ def _reflected_g(f: AnalyticFunction, m: int, g: AnalyticFunction) -> AnalyticFu
     return scaled(gr, (-1.0) ** m)
 
 
-def _signed_power(omega: float, expo: float, notes: list[str]) -> complex:
-    """omega^expo for the branch variant, continued above the cut for omega < 0."""
-    if omega > 0:
-        return omega ** expo
-    notes.append("omega < 0: power continued above the branch cut")
-    return cmath.exp(expo * (math.log(-omega) + 1j * math.pi))
+def _arms(v: str, f: AnalyticFunction, g: AnalyticFunction, m: int,
+          omega: float, nu: float, force_generic_parity: bool,
+          notes: list[str]) -> list[_Arm]:
+    """The series arms of variant v (see the module docstring)."""
+    if v == "stieltjes":
+        return [_Arm(1.0, -omega, 0, f)]
+    if v == "one_sided":
+        return [_Arm(-1.0, omega, m, g)]
+    if v in ("sym_omega", "sym_x"):
+        # sym_omega keeps the odd powers of omega, sym_x the even ones; the
+        # j = 1 arm carries omega^(m + 2k), the j = 2 arm omega^(m + 1 + 2k)
+        c_even, c_odd = (-1.0, 0.0) if m % 2 == int(v == "sym_omega") else (0.0, -1.0)
+    elif g.parity == "even" and not force_generic_parity:
+        notes.append("even-parity reduction")
+        if v == "full_line_branch":
+            half = cmath.exp(-0.5j * math.pi * nu)
+            c_even = -2j * math.sin(0.5 * math.pi * nu) * half
+            c_odd = -2.0 * math.cos(0.5 * math.pi * nu) * half
+        else:
+            c_even, c_odd = (-2.0, 0.0) if v in _SGN else (0.0, -2.0)
+    else:
+        # sum_k -s omega^(m+k) ffp [(-1)^k w g(-x) + s g(x)] x^-(k+1+nu)
+        s = 1.0 if v in _SGN else -1.0
+        w = cmath.exp(-1j * math.pi * nu) if v == "full_line_branch" else 1.0
+        return [_Arm(-s, omega, m, g, gneg=_reflected_g(f, m, g), w=w, s=s)]
+    return [_Arm(c, omega, m + j - 1, g, 2, j)
+            for c, j in ((c_even, 1), (c_odd, 2)) if c != 0.0]
+
+
+def _singular(v: str, g: AnalyticFunction, m: int, omega: float, nu: float,
+              notes: list[str]) -> complex:
+    """Closed-form contribution of the kernel singularity at x = omega."""
+    if v == "stieltjes":                       # g = f, m = 0 here
+        if nu == 0.0:
+            return -g.evaluate(-omega) * math.log(omega)
+        return math.pi / math.sin(math.pi * nu) * g.evaluate(-omega) / omega ** nu
+    if v == "full_line":
+        return 0.0
+    gw = g.evaluate(omega)
+    if v == "one_sided":
+        if nu == 0.0:
+            return omega ** m * gw * math.log(omega)
+        return -math.pi / math.tan(math.pi * nu) * omega ** (m - nu) * gw
+    if v in ("sym_omega", "sym_x"):
+        odd = v == "sym_omega"
+        gmw = g.evaluate(-omega)
+        sgn_m = (-1.0) ** m
+        if nu == 0.0:
+            # the log term cancels when f = x^m g is even (sym_omega) or odd (sym_x)
+            if {"even": m % 2 == 0, "odd": m % 2 == 1}.get(g.parity) == odd:
+                return 0.0
+            combo = gw - sgn_m * gmw if odd else gw + sgn_m * gmw
+            return 0.5 * omega ** m * combo * math.log(omega)
+        cot_part = gw / math.tan(math.pi * nu)
+        csc_part = sgn_m * gmw / math.sin(math.pi * nu)
+        return -0.5 * math.pi * omega ** (m - nu) * (
+            cot_part - csc_part if odd else cot_part + csc_part)
+    if v == "full_line_sgn":
+        return 2.0 * omega ** m * gw * math.log(abs(omega))
+    if v == "full_line_branch":
+        if omega > 0:
+            return -1j * math.pi * omega ** (m - nu) * gw
+        notes.append("omega < 0: power continued above the branch cut")
+        return -1j * math.pi * cmath.exp((m - nu) * (math.log(-omega) + 1j * math.pi)) * gw
+    if v == "full_line_abs":
+        return (math.pi * math.tan(0.5 * math.pi * nu) * math.copysign(1.0, omega)
+                * omega ** m * gw / abs(omega) ** nu)
+    return -math.pi / math.tan(0.5 * math.pi * nu) * omega ** m * gw / abs(omega) ** nu
 
 
 def evaluate_transform(spec: TransformSpec, f: AnalyticFunction,
                        precision: PrecisionConfig | None = None,
                        budget: QuadratureBudget | None = None,
                        fp_mode: str = "auto",
-                       margin: float = OMEGA_MARGIN,
                        force_generic_parity: bool = False) -> EvalReport:
-    """Evaluate one transform variant; see the per-variant helpers below."""
+    """Evaluate one transform variant from its arms and singular term.
+
+    fp_mode="generic" bypasses the closed-form finite-part hooks;
+    force_generic_parity skips the even-g reduction of the full-line kernels.
+    """
     precision = precision or default_precision()
     budget = budget or QuadratureBudget()
-    eng = _Engine(f, spec, precision, budget, fp_mode, margin)
-    omega, nu, a = spec.omega, spec.nu, spec.a
-    v = spec.variant
-
-    if v == "stieltjes":
-        series, used, tail = eng.sum_series(
-            lambda k: (-omega) ** k * eng.fp(f, k + 1, nu))
-        if nu == 0.0:
-            singular = -f.evaluate(-omega) * math.log(omega)
-        else:
-            singular = math.pi / math.sin(math.pi * nu) \
-                * f.evaluate(-omega) / omega ** nu
-        return _report(series, singular, 0.0, used, tail, eng.notes)
-
-    m, g = factor_zero(f)
+    eng = _Engine(f, spec, precision, budget, fp_mode)
+    v, omega, nu = spec.variant, spec.omega, spec.nu
+    m, g = (0, f) if v == "stieltjes" else factor_zero(f)
     if m:
         eng.notes.append(f"zero of order m={m} at the origin")
-
-    if v == "one_sided":
-        prefix = 0.0 + 0.0j
-        for k in range(m):
-            prefix -= omega ** k * eng.prefix_integral(g, m - k - 1 - nu)
-        series, used, tail = eng.sum_series(
-            lambda k: -(omega ** (m + k)) * eng.fp(g, k + 1, nu))
-        gw = g.evaluate(omega)
-        if nu == 0.0:
-            singular = omega ** m * gw * math.log(omega)
-        else:
-            singular = -math.pi / math.tan(math.pi * nu) * omega ** (m - nu) * gw
-        return _report(series, singular, prefix, used, tail, eng.notes)
-
-    if v in ("sym_omega", "sym_x"):
-        gw = g.evaluate(omega)
-        gmw = g.evaluate(-omega)
-        sgn_m = (-1.0) ** m
-        if v == "sym_omega":
-            base = 2 * (m // 2)
-            prefix_top = (m - 2) // 2
-            series_pow = lambda k: 2 * k + base + 1
-            series_exp = lambda k: 2 * k + base + 2 - m
-            prefix_exp = lambda k: m - 2 * k - 2 - nu
-            if nu == 0.0:
-                combo = gw - sgn_m * gmw
-                vanishes = (g.parity == "even" and m % 2 == 0) or \
-                           (g.parity == "odd" and m % 2 == 1)
-                singular = 0.0 if vanishes else 0.5 * omega ** m * combo * math.log(omega)
-            else:
-                singular = -0.5 * math.pi * omega ** (m - nu) * (
-                    gw / math.tan(math.pi * nu) - sgn_m * gmw / math.sin(math.pi * nu))
-        else:
-            base = 2 * ((m + 1) // 2)
-            prefix_top = (m - 1) // 2
-            series_pow = lambda k: 2 * k + base
-            series_exp = lambda k: 2 * k + base + 1 - m
-            prefix_exp = lambda k: m - 2 * k - 1 - nu
-            if nu == 0.0:
-                combo = gw + sgn_m * gmw
-                vanishes = (g.parity == "even" and m % 2 == 1) or \
-                           (g.parity == "odd" and m % 2 == 0)
-                singular = 0.0 if vanishes else 0.5 * omega ** m * combo * math.log(omega)
-            else:
-                singular = -0.5 * math.pi * omega ** (m - nu) * (
-                    gw / math.tan(math.pi * nu) + sgn_m * gmw / math.sin(math.pi * nu))
-        prefix = 0.0 + 0.0j
-        for k in range(prefix_top + 1):
-            prefix -= omega ** (2 * k + 1 if v == "sym_omega" else 2 * k) \
-                * eng.prefix_integral(g, prefix_exp(k))
-        series, used, tail = eng.sum_series(
-            lambda k: -(omega ** series_pow(k)) * eng.fp(g, series_exp(k), nu))
-        return _report(series, singular, prefix, used, tail, eng.notes)
-
-    # full-line family
-    even_route = g.parity == "even" and not force_generic_parity
-    gneg = None if even_route else _reflected_g(f, m, g)
-    fl = {"full_line": ("plain", 1.0), "full_line_sgn": ("sgn", 1.0),
-          "full_line_branch": ("plain", cmath.exp(-1j * math.pi * nu)),
-          "full_line_abs": ("plain", 1.0), "full_line_abs_sgn": ("sgn", 1.0)}[v]
-    combo_sign = -1.0 if fl[0] == "plain" else 1.0   # (-1)^k w g(-x) -+ g(x)
-    w = fl[1]
-    gw = g.evaluate(omega)
-
-    if v == "full_line":
-        singular = 0.0 + 0.0j
-    elif v == "full_line_sgn":
-        singular = 2.0 * omega ** m * gw * math.log(abs(omega))
-    elif v == "full_line_branch":
-        singular = -1j * math.pi * _signed_power(omega, m - nu, eng.notes) * gw
-    elif v == "full_line_abs":
-        singular = (math.pi * math.tan(0.5 * math.pi * nu) * math.copysign(1.0, omega)
-                    * omega ** m * gw / abs(omega) ** nu)
-    else:
-        singular = (-math.pi / math.tan(0.5 * math.pi * nu)
-                    * omega ** m * gw / abs(omega) ** nu)
-
-    if even_route:
-        eng.notes.append("even-parity reduction")
-        if fl[0] == "plain" and v == "full_line":
-            series, used, tail = eng.sum_series(
-                lambda k: -2.0 * omega ** (2 * k + m + 1) * eng.fp(g, 2 * k + 2, 0.0))
-            prefix = 0.0 + 0.0j
-            for k in range((m - 1) // 2 + 1):
-                prefix += -2.0 * omega ** (2 * k + 1 + 2 * (m // 2) - m) \
-                    * eng.prefix_integral(g, 2 * ((m - 1) // 2) - 2 * k)
-        elif v == "full_line_sgn":
-            series, used, tail = eng.sum_series(
-                lambda k: -2.0 * omega ** (2 * k + m) * eng.fp(g, 2 * k + 1, 0.0))
-            prefix = 0.0 + 0.0j
-            for k in range((m - 2) // 2 + 1):
-                prefix += -2.0 * omega ** (2 * k + 2 * ((m + 1) // 2) - m) \
-                    * eng.prefix_integral(g, 2 * ((m - 2) // 2) - 2 * k + 1)
-        elif v == "full_line_branch":
-            half = cmath.exp(-0.5j * math.pi * nu)
-            c_even = -2j * math.sin(0.5 * math.pi * nu) * half
-            c_odd = -2.0 * math.cos(0.5 * math.pi * nu) * half
-            series1, used1, tail1 = eng.sum_series(
-                lambda k: c_even * omega ** (2 * k + m) * eng.fp(g, 2 * k + 1, nu))
-            series2, used2, tail2 = eng.sum_series(
-                lambda k: c_odd * omega ** (2 * k + m + 1) * eng.fp(g, 2 * k + 2, nu))
-            series, used, tail = series1 + series2, used1 + used2, tail1 + tail2
-            prefix = 0.0 + 0.0j
-            for k in range((m - 2) // 2 + 1):
-                prefix += c_even * omega ** (2 * k + 2 * ((m + 1) // 2) - m) \
-                    * eng.prefix_integral(g, 2 * ((m - 2) // 2) - 2 * k + 1 - nu)
-            for k in range((m - 1) // 2 + 1):
-                prefix += c_odd * omega ** (2 * k + 1 + 2 * (m // 2) - m) \
-                    * eng.prefix_integral(g, 2 * ((m - 1) // 2) - 2 * k - nu)
-        elif v == "full_line_abs":
-            series, used, tail = eng.sum_series(
-                lambda k: -2.0 * omega ** (2 * k + m + 1) * eng.fp(g, 2 * k + 2, nu))
-            prefix = 0.0 + 0.0j
-            for k in range((m - 1) // 2 + 1):
-                prefix += -2.0 * omega ** (2 * k + 1 + 2 * (m // 2) - m) \
-                    * eng.prefix_integral(g, 2 * ((m - 1) // 2) - 2 * k - nu)
-        else:  # full_line_abs_sgn
-            series, used, tail = eng.sum_series(
-                lambda k: -2.0 * omega ** (2 * k + m) * eng.fp(g, 2 * k + 1, nu))
-            prefix = 0.0 + 0.0j
-            for k in range((m - 2) // 2 + 1):
-                prefix += -2.0 * omega ** (2 * k + 2 * ((m + 1) // 2) - m) \
-                    * eng.prefix_integral(g, 2 * ((m - 2) // 2) - 2 * k + 1 - nu)
-        return _report(series, singular, prefix, used, tail, eng.notes)
-
-    # generic route: series over (-1)^k w g(-x) -+ g(x) finite parts
-    outer = 1.0 if fl[0] == "plain" else -1.0
-
-    def term(k: int) -> complex:
-        fp_neg = eng.fp(gneg, k + 1, nu)
-        fp_pos = eng.fp(g, k + 1, nu)
-        return outer * omega ** (k + m) * (
-            (-1.0) ** k * w * fp_neg + combo_sign * fp_pos)
-
-    series, used, tail = eng.sum_series(term)
+    singular = complex(_singular(v, g, m, omega, nu, eng.notes))
+    arms = _arms(v, f, g, m, omega, nu, force_generic_parity, eng.notes)
+    series, used, tail = 0.0 + 0.0j, 0, 0.0
+    for arm in arms:
+        s, u, t = eng.arm_series(arm)
+        series, used, tail = series + s, used + u, tail + t
     prefix = 0.0 + 0.0j
-    for k in range(m):
-        def combo(x: np.ndarray, _k=k):
-            return ((-1.0) ** (_k + m) * w * g.evaluate(-x)
-                    + combo_sign * g.evaluate(x))
-        prefix += outer * omega ** k * eng.prefix_integral(g, m - k - 1 - nu, combo)
-    return _report(series, singular, prefix, used, tail, eng.notes)
-
-
-def _report(series: complex, singular: complex, prefix: complex,
-            used: int, tail: float, notes: list[str]) -> EvalReport:
-    series = complex(series)
-    singular = complex(singular)
-    prefix = complex(prefix)
-    return EvalReport(prefix + series + singular, series, singular, prefix,
-                      used, float(tail), notes)
+    for arm in arms:
+        for term in eng.arm_prefix(arm):
+            prefix += term
+    return EvalReport(prefix + series + singular, series, singular, prefix, used,
+                      float(tail), eng.notes)
 
 
 # -- named operations --------------------------------------------------------
@@ -466,13 +404,7 @@ def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
     g0 = complex(g.evaluate(0.0)) if m else complex(f.evaluate(0.0))
 
     def integ(power: float, combo=None) -> complex:
-        fn = combo if combo is not None else (lambda x: g.evaluate(x))
-
-        def integrand(x: np.ndarray):
-            return x ** power * fn(x)
-
-        return regular_integral(integrand, 0.0, a, endpoint_nu=max(0.0, -power),
-                                budget=budget, tail=g.tail, tail_extra_power=-power)
+        return _prefix_integral(g, power, a, budget, combo)
 
     def fpv(fn: AnalyticFunction, k: int, nu_: float) -> complex:
         return resolve_fp(fn, k, nu_, a, precision, budget).value
@@ -496,29 +428,35 @@ def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
                 return out(LEAD_LOG, g0)
             return out(LEAD_POWER, -math.pi / math.tan(math.pi * nu) * g0, -nu)
         return out(LEAD_CONSTANT, -integ(m - 1 - nu))
-    if v == "full_line":
-        if m == 0 and f.parity != "even":
-            fr = f.reflect()
-            return out(LEAD_CONSTANT, fpv(fr, 1, 0.0) - fpv(f, 1, 0.0))
-        if f.parity == "even" and m == 0:
+    if v in ("full_line", "full_line_abs"):
+        if m == 0 and v == "full_line":
+            if f.parity != "even":
+                return out(LEAD_CONSTANT, fpv(f.reflect(), 1, 0.0) - fpv(f, 1, 0.0))
             return out(LEAD_POWER, -2.0 * fpv(f, 2, 0.0), 1.0)
+        if m == 0:
+            return out(LEAD_POWER, math.pi * math.tan(0.5 * math.pi * nu) * g0, -nu)
         if g.parity == "even":
-            return out(LEAD_POWER, -2.0 * integ(2 * ((m - 1) // 2)),
+            return out(LEAD_POWER, -2.0 * integ(2 * ((m - 1) // 2) - nu),
                        2 * (m // 2) - m + 1)
         return out(LEAD_CONSTANT,
-                   integ(m - 1, lambda x: (-1.0) ** m * g.evaluate(-x) - g.evaluate(x)))
-    if v == "full_line_sgn":
-        if m == 0:
+                   integ(m - nu - 1, lambda x: (-1.0) ** m * g.evaluate(-x) - g.evaluate(x)))
+    if v in ("full_line_sgn", "full_line_abs_sgn"):
+        if m == 0 and v == "full_line_sgn":
             return out(LEAD_LOG, 2.0 * g0)
+        if m == 0:
+            return out(LEAD_POWER, -math.pi / math.tan(0.5 * math.pi * nu) * g0, -nu)
         if g.parity == "even":
-            if m == 1:
-                # at m = 1 the 2 omega g(omega) ln|omega| singular term beats
-                # the omega * finite-part term
+            # at m = 1 the singular term, 2 omega g(omega) ln|omega| or
+            # ~omega^{1-nu}, beats the omega * finite-part term
+            if m == 1 and v == "full_line_sgn":
                 return out(LEAD_POWER_LOG, 2.0 * g0, 1.0)
-            return out(LEAD_POWER, -2.0 * integ(2 * ((m - 2) // 2) + 1),
+            if m == 1:
+                return out(LEAD_POWER,
+                           -math.pi / math.tan(0.5 * math.pi * nu) * g0, 1.0 - nu)
+            return out(LEAD_POWER, -2.0 * integ(2 * ((m - 2) // 2) + 1 - nu),
                        2 * ((m + 1) // 2) - m)
         return out(LEAD_CONSTANT,
-                   -integ(m - 1, lambda x: (-1.0) ** m * g.evaluate(-x) + g.evaluate(x)))
+                   -integ(m - nu - 1, lambda x: (-1.0) ** m * g.evaluate(-x) + g.evaluate(x)))
     if v == "full_line_branch":
         wgt = cmath.exp(-1j * math.pi * nu)
         if m == 0:
@@ -533,38 +471,13 @@ def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
         return out(LEAD_CONSTANT,
                    integ(m - nu - 1,
                          lambda x: (-1.0) ** m * wgt * g.evaluate(-x) - g.evaluate(x)))
-    if v == "full_line_abs":
-        if m == 0:
-            return out(LEAD_POWER, math.pi * math.tan(0.5 * math.pi * nu) * g0, -nu)
-        if g.parity == "even":
-            return out(LEAD_POWER, -2.0 * integ(2 * ((m - 1) // 2) - nu),
-                       2 * (m // 2) - m + 1)
-        return out(LEAD_CONSTANT,
-                   integ(m - nu - 1,
-                         lambda x: (-1.0) ** m * g.evaluate(-x) - g.evaluate(x)))
-    if v == "full_line_abs_sgn":
-        if m == 0:
-            return out(LEAD_POWER, -math.pi / math.tan(0.5 * math.pi * nu) * g0, -nu)
-        if g.parity == "even":
-            if m == 1:
-                # omega^{1-nu} singular term dominates the omega finite-part term
-                return out(LEAD_POWER,
-                           -math.pi / math.tan(0.5 * math.pi * nu) * g0, 1.0 - nu)
-            return out(LEAD_POWER, -2.0 * integ(2 * ((m - 2) // 2) + 1 - nu),
-                       2 * ((m + 1) // 2) - m)
-        return out(LEAD_CONSTANT,
-                   -integ(m - nu - 1,
-                          lambda x: (-1.0) ** m * g.evaluate(-x) + g.evaluate(x)))
     if v == "sym_omega":
-        if nu == 0.0:
-            if m == 0:
-                if f.parity == "even":
-                    return out(LEAD_POWER, -fpv(f, 2, 0.0), 1.0)
-                c1 = complex(f.maclaurin(1))
-                return out(LEAD_POWER_LOG, c1, 1.0)
-            if m == 1:
-                return out(LEAD_POWER_LOG, g0, 1.0)
-            return out(LEAD_POWER, -integ(m - 2), 1.0)
+        if nu == 0.0 and m == 0:
+            if f.parity == "even":
+                return out(LEAD_POWER, -fpv(f, 2, 0.0), 1.0)
+            return out(LEAD_POWER_LOG, complex(f.maclaurin(1)), 1.0)
+        if nu == 0.0 and m == 1:
+            return out(LEAD_POWER_LOG, g0, 1.0)
         if m == 0:
             return out(LEAD_POWER, 0.5 * math.pi * math.tan(0.5 * math.pi * nu) * g0, -nu)
         if m == 1:
@@ -572,10 +485,8 @@ def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
                        1.0 - nu)
         return out(LEAD_POWER, -integ(m - nu - 2), 1.0)
     if v == "sym_x":
-        if nu == 0.0:
-            if m == 0:
-                return out(LEAD_LOG, g0)
-            return out(LEAD_CONSTANT, -integ(m - 1))
+        if m == 0 and nu == 0.0:
+            return out(LEAD_LOG, g0)
         if m == 0:
             return out(LEAD_POWER, -0.5 * math.pi / math.tan(0.5 * math.pi * nu) * g0, -nu)
         return out(LEAD_CONSTANT, -integ(m - nu - 1))

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable
+
+from .errors import ConvergenceDomain, NoConvergence
 
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10_000
@@ -20,13 +24,12 @@ class PrecisionConfig:
 
     rel_tol     -- relative tolerance for truncation decisions (> 0)
     max_terms   -- hard cap on summed terms (>= 32)
-    working     -- working-precision descriptor; binary64 is the only
-                   precision this implementation computes in
+
+    Everything is computed in binary64.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
     max_terms: int = DEFAULT_MAX_TERMS
-    working: str = "binary64"
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0.0:
@@ -39,7 +42,6 @@ class PrecisionConfig:
         return PrecisionConfig(
             rel_tol=self.rel_tol if rel_tol is None else rel_tol,
             max_terms=self.max_terms if max_terms is None else max_terms,
-            working=self.working,
         )
 
 
@@ -53,3 +55,49 @@ def default_precision() -> PrecisionConfig:
             raise ValueError(f"FPINT_PRECISION is not a float: {env!r}") from exc
         return PrecisionConfig(rel_tol=rel)
     return PrecisionConfig()
+
+
+def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
+               first_stop: int = 4, ratio_limit: float | None = None
+               ) -> tuple[complex, int, float, float]:
+    """Sum term(0) + term(1) + ... to convergence.
+
+    A term is small when |term| <= rel_tol * max(|total|, 1e-3 * peak, 1e-300),
+    peak being the largest |partial sum| so far.  The sum stops after
+    CONSECUTIVE_SMALL_TERMS small terms in a row, at index first_stop or
+    later (leading zero terms must not stop it early).  With ratio_limit set,
+    six consecutive term ratios >= ratio_limit past term 24 raise
+    ConvergenceDomain: the series sits on its convergence boundary.
+
+    Returns (total, terms used, tail, peak_term): tail is the largest |term|
+    from the last term above the floor on, peak_term the largest |term|.
+    """
+    total = 0.0 + 0.0j
+    peak = peak_term = tail = prev_mag = 0.0
+    small = 0
+    ratios: deque[float] = deque(maxlen=6)
+    for k in range(max_terms):
+        t = complex(term(k))
+        total += t
+        mag = abs(t)
+        peak = max(peak, abs(total))
+        peak_term = max(peak_term, mag)
+        floor = rel_tol * max(abs(total), 1e-3 * peak, 1e-300)
+        if mag <= floor:
+            small += 1
+            tail = max(tail, mag)
+            if small >= CONSECUTIVE_SMALL_TERMS and k >= first_stop:
+                return total, k + 1, tail, peak_term
+        else:
+            small = 0
+            tail = mag
+        if ratio_limit is not None and mag > 0.0:
+            if prev_mag > 0.0:
+                ratios.append(mag / prev_mag)
+                if (k > 24 and len(ratios) == 6 and mag > floor
+                        and min(ratios) >= ratio_limit):
+                    raise ConvergenceDomain(
+                        f"series term ratio ~{min(ratios):.4f} >= {ratio_limit}; "
+                        "omega too close to min(a, rho0)")
+            prev_mag = mag
+    raise NoConvergence(f"series did not converge within {max_terms} terms")

@@ -34,6 +34,13 @@ class TestEvalHilbert:
         assert len(payload["results"]) == 5
         assert payload["results"][0]["omega"] == 0.1
 
+    def test_negative_omega_grid(self, capsys):
+        code, out, _ = run(capsys, [
+            "eval-hilbert", "--variant", "full-line", "--function", "gaussian:a=1",
+            "--omega", "-0.5:0.5:3", "--hash-mode"])
+        assert code == 0
+        assert [r["omega"] for r in json.loads(out)["results"]] == [-0.5, 0.0, 0.5]
+
     def test_json_roundtrip_bit_identical(self, capsys):
         from fpint import funcmodel as fm
         from fpint import hilbert as hb
@@ -135,6 +142,16 @@ class TestExitCodes:
     def test_schema_error_missing_field(self, capsys):
         code, _, _ = run(capsys, ["eval-hilbert", "--variant", "one-sided"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value,code", [
+        ("--nu", "nan", 3), ("--omega", "inf", 3), ("--omega", "nan", 3),
+        ("--function", "sin:a=nan", 2)])
+    def test_nonfinite_input_refused(self, capsys, flag, value, code):
+        argv = ["eval-hilbert", "--variant", "one-sided", "--function", "exp_decay:a=1",
+                "--omega", "0.5", "--nu", "0.25", flag, value]
+        got, out, err = run(capsys, argv)
+        assert (got, out) == (code, "")
+        assert "Traceback" not in err
 
     def test_numerical_failure(self, capsys):
         # omega at the convergence boundary: named numerical failure, exit 3

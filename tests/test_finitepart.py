@@ -32,6 +32,13 @@ class TestKernel:
         with pytest.raises(DomainError):
             fp.FpKernel(1, 0.5, -1.0)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_nu_rejected(self, nu):
+        with pytest.raises(DomainError):
+            fp.snap_nu(nu)
+        with pytest.raises(DomainError):
+            fp.resolve_fp(fm.builtin("exp_decay", a=1.0), 1, nu, math.inf)
+
 
 class TestSeriesFinite:
     def test_exp_osc_matches_canonical_construction(self):
@@ -113,6 +120,18 @@ class TestExpOsc:
     def test_domain(self):
         with pytest.raises(DomainError):
             fp.fp_exp_osc(0.0, 1)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_nonfinite_a_rejected(self, a):
+        with pytest.raises(DomainError):
+            fp.fp_exp_osc(a, 1)
+
+    @pytest.mark.parametrize("a", [1.0, -0.7, 3.0])
+    def test_matches_hook(self, a):
+        # the public closed form and the exp_osc finite-part hook agree
+        f = fm.builtin("exp_osc", a=a)
+        for k in range(8):
+            assert rel(fp.fp_exp_osc(a, k), f.fp_hook(k + 1, 0.0, math.inf)) < 1e-14
 
 
 class TestQuartic:

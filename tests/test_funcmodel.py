@@ -73,6 +73,16 @@ def test_unknown_builtin():
         fm.builtin("nope")
 
 
+@pytest.mark.parametrize("name,params", [
+    ("sin", dict(a=math.nan)), ("exp_osc", dict(a=math.nan)),
+    ("exp_osc", dict(a=math.inf)), ("exp_decay", dict(a=math.inf)),
+    ("const", dict(c=math.nan)), ("rational_quartic", dict(beta=-math.inf, omega_j=1.0)),
+])
+def test_nonfinite_params(name, params):
+    with pytest.raises(DomainError):
+        fm.builtin(name, **params)
+
+
 def test_bad_params():
     with pytest.raises(DomainError):
         fm.builtin("exp_decay", a=-1.0)

@@ -114,6 +114,13 @@ class TestFullLineNu:
         want = 2.1972245773362193828 - 4.4285948711763620121j
         assert rel(got, want) < 1e-10
 
+    @pytest.mark.parametrize("omega,nu", [
+        (math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (0.5, math.nan)])
+    def test_nonfinite_inputs_rejected(self, omega, nu):
+        f = fm.builtin("gaussian", a=1.0)
+        with pytest.raises(DomainError):
+            hb.full_line(f, omega) if nu == 0.0 else hb.one_sided(f, nu, omega)
+
     def test_branch_requires_nu(self):
         f = fm.builtin("gaussian", a=1.0)
         with pytest.raises(DomainError):

@@ -1,0 +1,45 @@
+import pytest
+
+from fpint.errors import ConvergenceDomain, NoConvergence
+from fpint.precision import sum_series
+
+
+def test_geometric_series():
+    total, used, tail, peak_term = sum_series(lambda k: 0.5 ** k, 1e-12, 1000)
+    assert abs(total - 2.0) < 1e-11
+    assert peak_term == 1.0
+    assert tail <= 1e-11
+    assert used < 60
+
+
+def test_stops_after_three_small_terms():
+    total, used, tail, _ = sum_series(lambda k: 1.0 if k == 0 else 0.0,
+                                      1e-12, 100, first_stop=0)
+    assert (total, used) == (1.0, 4)
+    # the tail runs from the last term above the floor
+    assert tail == 1.0
+
+
+def test_isolated_small_terms_do_not_stop():
+    terms = [1.0, 0.0, 0.0, 1.0] + [0.0] * 10
+    total, used, _, _ = sum_series(lambda k: terms[k], 1e-12, 100, first_stop=0)
+    assert (total, used) == (2.0, 7)
+
+
+@pytest.mark.parametrize("first_stop", [4, 10])
+def test_never_stops_before_first_stop(first_stop):
+    _, used, _, _ = sum_series(lambda k: 0.0, 1e-12, 100, first_stop=first_stop)
+    assert used == first_stop + 1
+
+
+def test_no_convergence_at_max_terms():
+    with pytest.raises(NoConvergence):
+        sum_series(lambda k: 1.0, 1e-12, 50)
+
+
+def test_ratio_limit_refuses_boundary_series():
+    with pytest.raises(ConvergenceDomain):
+        sum_series(lambda k: 0.9995 ** k, 1e-12, 1000, ratio_limit=0.999)
+    # the same series without the ratio test runs into the term cap
+    with pytest.raises(NoConvergence):
+        sum_series(lambda k: 0.9995 ** k, 1e-12, 1000)
