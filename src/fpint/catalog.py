@@ -646,87 +646,29 @@ def _build_c_items() -> None:
            lambda p: math.pi / p["a"], ("D.12",), seed_offset=32)
 
 
-_D_BUILTIN = {
-    "D.1": ("exp_decay", lambda p: {"a": p["a"]}),
-    "D.2": ("exp_osc", lambda p: {"a": p["a"]}),
-    "D.3": ("j0_squared", lambda p: {"a": p["a"]}),
-    "D.4": ("j0_squared", lambda p: {"a": p["a"]}),
-    "D.5": ("sqrt_inv_quad", lambda p: {"a": p["a"]}),
-    "D.6": ("sqrt_inv_quad", lambda p: {"a": p["a"]}),
-    "D.7": ("inv_cubic", lambda p: {"c": p["c"]}),
-    "D.8": ("exp_decay_shift", lambda p: {"a": p["a"], "c": p["c"]}),
-    "D.9": ("exp_decay_shift", lambda p: {"a": p["a"], "c": p["c"]}),
-    "D.10": ("inv_power_shift", lambda p: {"s": p["s"], "mu": p["mu"]}),
-    "D.11": ("inv_power_shift", lambda p: {"s": p["s"], "mu": p["mu"]}),
-    "D.12": ("fermi", lambda p: {"a": p["a"]}),
-    "D.13": ("fermi", lambda p: {"a": p["a"]}),
-    "D.14": ("fermi", lambda p: {"a": p["a"]}),
-    "D.15": ("fermi", lambda p: {"a": p["a"]}),
-    "D.16": ("airy_neg", lambda p: {"a": p["a"]}),
-    "D.17": ("airy_neg", lambda p: {"a": p["a"]}),
-    "D.18": ("airy_neg", lambda p: {"a": p["a"]}),
-    "D.19": ("airy", lambda p: {"a": p["a"]}),
-    "D.20": ("airy", lambda p: {"a": p["a"]}),
-    "D.21": ("airy", lambda p: {"a": p["a"]}),
-    "D.22": ("airy", lambda p: {"a": p["a"]}),
-    "D.23": ("airy_neg", lambda p: {"a": p["a"]}),
-    "D.24": ("airy_prod", lambda p: {"a": p["a"]}),
-    "D.25": ("airy_prod", lambda p: {"a": p["a"]}),
-}
-
-
-def _d_kernel(item_id: str, params: dict) -> FpKernel:
-    if item_id == "D.3":
-        lam = params["lam"]
-        k = int(math.floor(lam))
-        return FpKernel(k, lam - k, math.inf)
-    if item_id == "D.4":
-        return FpKernel(2 * params["n"] + 1, 0.0, math.inf)
-    if item_id == "D.5":
-        return FpKernel(2 * params["k"] + 1, 0.0, math.inf)
-    if item_id in ("D.9", "D.10", "D.24"):
-        return FpKernel(params["n"] + 1, 0.0, math.inf)
-    if item_id == "D.13":
-        return FpKernel(1, 0.0, math.inf)
-    if item_id == "D.14":
-        return FpKernel(2 * params["n"], 0.0, math.inf)
-    if item_id == "D.15":
-        return FpKernel(2 * params["n"] + 1, 0.0, math.inf)
-    if item_id in ("D.16", "D.19"):
-        return FpKernel(3 * params["n"], 0.0, math.inf)
-    if item_id in ("D.17", "D.20"):
-        return FpKernel(3 * params["n"] - 1, 0.0, math.inf)
-    if item_id in ("D.18", "D.21"):
-        return FpKernel(3 * params["n"] - 2, 0.0, math.inf)
-    return FpKernel(params["m"], params["nu"], math.inf)
-
-
 D_CATALOG: dict[str, CatalogItem] = {}
 
 
 def _build_d_items() -> None:
     for item_id, entry in dtable.D_ITEMS.items():
-        bname, bargs = _D_BUILTIN[item_id]
+        def integral(params, _e=entry):
+            f = builtin(_e.builtin, **{p: params[p] for p in _e.builtin_params})
+            return f, FpKernel(*_e.kernel(params), math.inf)
 
-        def theorem(params, _id=item_id, _bn=bname, _ba=bargs):
-            f = builtin(_bn, **_ba(params))
-            return fp_infinite(f, _d_kernel(_id, params)).value
+        def oracle(params, _integral=integral):
+            f, kernel = _integral(params)
+            return fp_epsilon_oracle(f.evaluate, kernel, tail=f.tail).value
 
-        def oracle(params, _id=item_id, _bn=bname, _ba=bargs):
-            f = builtin(_bn, **_ba(params))
-            return fp_epsilon_oracle(f.evaluate, _d_kernel(_id, params),
-                                     tail=f.tail).value
-
-        def closed(params, _id=item_id):
-            return dtable.D_ITEMS[_id].evaluate(**params)
-
+        linked = tuple(c.item_id for c in C_ITEMS.values() if item_id in c.linked_fp_items)
         D_CATALOG[item_id] = CatalogItem(
             item_id, "finite_part", entry.description, entry.domain,
-            "finite_part", _D_BUILTIN[item_id][0],
-            closed, theorem, oracle,
+            "finite_part", entry.builtin,
+            lambda params, _e=entry: _e.evaluate(**params),
+            lambda params, _integral=integral: fp_infinite(*_integral(params)).value,
+            oracle,
             _three_samples(entry.sample_space, entry.integer_params, None,
                            seed_offset=100 + len(D_CATALOG)),
-            entry.used_in, DEFAULT_TOL)
+            linked, DEFAULT_TOL)
 
 
 _build_c_items()

@@ -1,15 +1,25 @@
 """Closed forms for the tabulated half-line finite-part integrals (D.1-D.25).
 
 Each entry evaluates one divergent-integral family ffp_0^inf f(x)/x^p dx in
-terms of gamma/digamma/zeta/incomplete-gamma primitives.  The same formulas
-back the per-builtin finite-part providers used by the transform evaluators.
+terms of gamma/digamma/zeta/incomplete-gamma primitives.
+
+A row (DItem) also states which integral it is: the builtin f it integrates
+and its kernel lattice, k = step*n + offset with n >= first in the index
+parameter n, and nu either a free parameter or 0.  Both uses of the table
+are derived from the rows.  fp_hook(name, params) builds the closed-form
+finite-part provider of a builtin: it walks that builtin's rows for the
+kernel, then tries _EXTRA, the closed forms with no row (exp_decay and
+exp_osc at nu = 0, gaussian / power_gaussian, rational_quartic through
+fp_quartic); inv_linear is inv_power_shift at mu = 1.  The catalog builds
+each D item's function and FpKernel from the same row.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 from . import specfun as sf
@@ -289,78 +299,100 @@ def d25(a: float, m: int, nu: float) -> float:
 
 @dataclass(frozen=True)
 class DItem:
+    """One table row: ffp_0^inf f(x) x^-(k+nu) dx for f = builtin(`builtin`).
+
+    Kernels: k = step*n + offset, n >= first, in the index parameter `index`;
+    nu is a parameter (0 < nu < 1) when `free_nu`, else 0.  The index `lam`
+    of D.3 is the whole power k + nu (lam > first); D.13 (index None) is the
+    single kernel k = offset.
+    """
+
     item_id: str
     description: str
     domain: str
     evaluate: Callable[..., complex]
-    used_in: tuple[str, ...]
-    param_names: tuple[str, ...]
+    builtin: str
     # deterministic low/mid/high sampling ranges per parameter
-    sample_space: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-    integer_params: tuple[str, ...] = ()
+    sample_space: Mapping[str, tuple[float, float]]
+    index: str | None = "m"
+    step: int = 1
+    offset: int = 0
+    first: int = 1
+    free_nu: bool = True
+
+    @property
+    def builtin_params(self) -> tuple[str, ...]:
+        """The parameters of f, in the order `evaluate` takes them first."""
+        return tuple(p for p in self.sample_space if p not in (self.index, "nu"))
+
+    @property
+    def integer_params(self) -> tuple[str, ...]:
+        return () if self.index in (None, "lam") else (self.index,)
+
+    def kernel(self, params: Mapping[str, float]) -> tuple[int, float]:
+        """The (k, nu) of the row's integral at these parameters."""
+        if self.index == "lam":
+            k = math.floor(params["lam"])
+            return k, params["lam"] - k
+        n = params[self.index] if self.index else 0
+        return self.step * n + self.offset, params["nu"] if self.free_nu else 0.0
 
 
-D_ITEMS: dict[str, DItem] = {}
-
-
-def _add(item_id: str, description: str, domain: str, evaluate, used_in,
-         param_names, sample_space, integer_params=()) -> None:
-    D_ITEMS[item_id] = DItem(item_id, description, domain, evaluate, tuple(used_in),
-                             tuple(param_names), dict(sample_space), tuple(integer_params))
-
-
-_add("D.1", "exp(-ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d1, ("C.10", "C.11"),
-     ("a", "m", "nu"), {"a": (0.5, 2.5), "m": (1, 2), "nu": (0.2, 0.8)}, ("m",))
-_add("D.2", "exp(iax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d2, ("C.12", "C.13"),
-     ("a", "m", "nu"), {"a": (0.5, 2.0), "m": (1, 2), "nu": (0.2, 0.8)}, ("m",))
-_add("D.3", "J0(ax)^2 / x^lam", "a>0, lam>1, lam not odd", d3, ("C.5", "C.7", "C.8", "C.9"),
-     ("a", "lam"), {"a": (0.5, 2.0), "lam": (1.3, 2.6)})
-_add("D.4", "J0(ax)^2 / x^(2n+1)", "a>0, n>=0", d4, ("C.6",),
-     ("a", "n"), {"a": (0.5, 2.0), "n": (0, 1)}, ("n",))
-_add("D.5", "x^-(2k+1) / sqrt(x^2+a^2)", "a>0, k>=0", d5, ("C.1",),
-     ("a", "k"), {"a": (0.5, 2.0), "k": (0, 1)}, ("k",))
-_add("D.6", "x^-(m+nu) / sqrt(x^2+a^2)", "a>0, 0<nu<1, m>=1", d6, ("C.2", "C.3", "C.4"),
-     ("a", "m", "nu"), {"a": (0.5, 2.0), "m": (1, 2), "nu": (0.2, 0.8)}, ("m",))
-_add("D.7", "x^-(m+nu) / (x^3+c^3)", "c>0, 0<nu<1, m>=1", d7, ("C.22", "C.23", "C.24"),
-     ("c", "m", "nu"), {"c": (0.6, 2.0), "m": (1, 2), "nu": (0.2, 0.8)}, ("m",))
-_add("D.8", "exp(-ax) x^-(m+nu) / (x+c)", "a,c>0, 0<nu<1, m>=1", d8, ("C.14", "C.15"),
-     ("a", "c", "m", "nu"), {"a": (0.5, 1.5), "c": (0.7, 2.0), "m": (1, 2), "nu": (0.2, 0.8)},
-     ("m",))
-_add("D.9", "exp(-ax) x^-(n+1) / (x+c)", "a>0, c>0, n>=0", d9, ("C.16", "C.17"),
-     ("a", "c", "n"), {"a": (0.5, 1.5), "c": (0.7, 2.0), "n": (0, 2)}, ("n",))
-_add("D.10", "x^-(n+1) (s+x)^-mu", "s>0, mu>0, n>=0", d10, ("C.18",),
-     ("s", "mu", "n"), {"s": (0.7, 2.0), "mu": (0.5, 2.5), "n": (0, 2)}, ("n",))
-_add("D.11", "x^-(m+nu) (s+x)^-mu", "s>0, mu>0, 0<nu<1, m>=1", d11, ("C.19", "C.20", "C.21"),
-     ("s", "mu", "m", "nu"), {"s": (0.7, 2.0), "mu": (0.5, 2.5), "m": (1, 2), "nu": (0.2, 0.8)},
-     ("m",))
-_add("D.12", "x^-(m+nu) / (exp(ax)+1)", "a>0, 0<nu<1, m>=1", d12, ("C.32",),
-     ("a", "m", "nu"), {"a": (0.6, 1.8), "m": (1, 2), "nu": (0.2, 0.8)}, ("m",))
-_add("D.13", "x^-1 / (exp(ax)+1)", "a>0", d13, ("C.31",),
-     ("a",), {"a": (0.5, 2.5)})
-_add("D.14", "x^-2n / (exp(ax)+1)", "a>0, n>=1", d14, ("C.31",),
-     ("a", "n"), {"a": (0.6, 1.8), "n": (1, 1)}, ("n",))
-_add("D.15", "x^-(2n+1) / (exp(ax)+1)", "a>0, n>=1", d15, ("C.31",),
-     ("a", "n"), {"a": (0.6, 1.8), "n": (1, 1)}, ("n",))
-_add("D.16", "Ai(-ax) / x^3n", "a>0, n>=1", d16, ("C.25",),
-     ("a", "n"), {"a": (0.6, 1.5), "n": (1, 1)}, ("n",))
-_add("D.17", "Ai(-ax) / x^(3n-1)", "a>0, n>=1", d17, ("C.25",),
-     ("a", "n"), {"a": (0.6, 1.5), "n": (1, 1)}, ("n",))
-_add("D.18", "Ai(-ax) / x^(3n-2)", "a>0, n>=1", d18, ("C.25",),
-     ("a", "n"), {"a": (0.6, 1.5), "n": (1, 1)}, ("n",))
-_add("D.19", "Ai(ax) / x^3n", "a>0, n>=1", d19, ("C.25", "C.26"),
-     ("a", "n"), {"a": (0.6, 1.5), "n": (1, 1)}, ("n",))
-_add("D.20", "Ai(ax) / x^(3n-1)", "a>0, n>=1", d20, ("C.25", "C.26"),
-     ("a", "n"), {"a": (0.6, 1.5), "n": (1, 1)}, ("n",))
-_add("D.21", "Ai(ax) / x^(3n-2)", "a>0, n>=1", d21, ("C.25", "C.26"),
-     ("a", "n"), {"a": (0.6, 1.5), "n": (1, 1)}, ("n",))
-_add("D.22", "Ai(ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d22, ("C.27", "C.28"),
-     ("a", "m", "nu"), {"a": (0.6, 1.5), "m": (1, 2), "nu": (0.2, 0.8)}, ("m",))
-_add("D.23", "Ai(-ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d23, ("C.28",),
-     ("a", "m", "nu"), {"a": (0.6, 1.5), "m": (1, 2), "nu": (0.2, 0.8)}, ("m",))
-_add("D.24", "Ai(ax) Ai'(ax) / x^(n+1)", "a>0, n>=0", d24, ("C.29",),
-     ("a", "n"), {"a": (0.6, 1.5), "n": (0, 2)}, ("n",))
-_add("D.25", "Ai(ax) Ai'(ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d25, ("C.30",),
-     ("a", "m", "nu"), {"a": (0.6, 1.5), "m": (1, 2), "nu": (0.2, 0.8)}, ("m",))
+_NU = (0.2, 0.8)
+D_ITEMS: dict[str, DItem] = {row.item_id: row for row in [
+    DItem("D.1", "exp(-ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d1, "exp_decay",
+          {"a": (0.5, 2.5), "m": (1, 2), "nu": _NU}),
+    DItem("D.2", "exp(iax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d2, "exp_osc",
+          {"a": (0.5, 2.0), "m": (1, 2), "nu": _NU}),
+    DItem("D.3", "J0(ax)^2 / x^lam", "a>0, lam>1, lam not odd", d3, "j0_squared",
+          {"a": (0.5, 2.0), "lam": (1.3, 2.6)}, index="lam"),
+    DItem("D.4", "J0(ax)^2 / x^(2n+1)", "a>0, n>=0", d4, "j0_squared",
+          {"a": (0.5, 2.0), "n": (0, 1)}, index="n", step=2, offset=1, first=0, free_nu=False),
+    DItem("D.5", "x^-(2k+1) / sqrt(x^2+a^2)", "a>0, k>=0", d5, "sqrt_inv_quad",
+          {"a": (0.5, 2.0), "k": (0, 1)}, index="k", step=2, offset=1, first=0, free_nu=False),
+    DItem("D.6", "x^-(m+nu) / sqrt(x^2+a^2)", "a>0, 0<nu<1, m>=1", d6, "sqrt_inv_quad",
+          {"a": (0.5, 2.0), "m": (1, 2), "nu": _NU}),
+    DItem("D.7", "x^-(m+nu) / (x^3+c^3)", "c>0, 0<nu<1, m>=1", d7, "inv_cubic",
+          {"c": (0.6, 2.0), "m": (1, 2), "nu": _NU}),
+    DItem("D.8", "exp(-ax) x^-(m+nu) / (x+c)", "a,c>0, 0<nu<1, m>=1", d8, "exp_decay_shift",
+          {"a": (0.5, 1.5), "c": (0.7, 2.0), "m": (1, 2), "nu": _NU}),
+    DItem("D.9", "exp(-ax) x^-(n+1) / (x+c)", "a>0, c>0, n>=0", d9, "exp_decay_shift",
+          {"a": (0.5, 1.5), "c": (0.7, 2.0), "n": (0, 2)},
+          index="n", offset=1, first=0, free_nu=False),
+    DItem("D.10", "x^-(n+1) (s+x)^-mu", "s>0, mu>0, n>=0", d10, "inv_power_shift",
+          {"s": (0.7, 2.0), "mu": (0.5, 2.5), "n": (0, 2)},
+          index="n", offset=1, first=0, free_nu=False),
+    DItem("D.11", "x^-(m+nu) (s+x)^-mu", "s>0, mu>0, 0<nu<1, m>=1", d11, "inv_power_shift",
+          {"s": (0.7, 2.0), "mu": (0.5, 2.5), "m": (1, 2), "nu": _NU}),
+    DItem("D.12", "x^-(m+nu) / (exp(ax)+1)", "a>0, 0<nu<1, m>=1", d12, "fermi",
+          {"a": (0.6, 1.8), "m": (1, 2), "nu": _NU}),
+    DItem("D.13", "x^-1 / (exp(ax)+1)", "a>0", d13, "fermi",
+          {"a": (0.5, 2.5)}, index=None, offset=1, free_nu=False),
+    DItem("D.14", "x^-2n / (exp(ax)+1)", "a>0, n>=1", d14, "fermi",
+          {"a": (0.6, 1.8), "n": (1, 1)}, index="n", step=2, free_nu=False),
+    DItem("D.15", "x^-(2n+1) / (exp(ax)+1)", "a>0, n>=1", d15, "fermi",
+          {"a": (0.6, 1.8), "n": (1, 1)}, index="n", step=2, offset=1, free_nu=False),
+    DItem("D.16", "Ai(-ax) / x^3n", "a>0, n>=1", d16, "airy_neg",
+          {"a": (0.6, 1.5), "n": (1, 1)}, index="n", step=3, free_nu=False),
+    DItem("D.17", "Ai(-ax) / x^(3n-1)", "a>0, n>=1", d17, "airy_neg",
+          {"a": (0.6, 1.5), "n": (1, 1)}, index="n", step=3, offset=-1, free_nu=False),
+    DItem("D.18", "Ai(-ax) / x^(3n-2)", "a>0, n>=1", d18, "airy_neg",
+          {"a": (0.6, 1.5), "n": (1, 1)}, index="n", step=3, offset=-2, free_nu=False),
+    DItem("D.19", "Ai(ax) / x^3n", "a>0, n>=1", d19, "airy",
+          {"a": (0.6, 1.5), "n": (1, 1)}, index="n", step=3, free_nu=False),
+    DItem("D.20", "Ai(ax) / x^(3n-1)", "a>0, n>=1", d20, "airy",
+          {"a": (0.6, 1.5), "n": (1, 1)}, index="n", step=3, offset=-1, free_nu=False),
+    DItem("D.21", "Ai(ax) / x^(3n-2)", "a>0, n>=1", d21, "airy",
+          {"a": (0.6, 1.5), "n": (1, 1)}, index="n", step=3, offset=-2, free_nu=False),
+    DItem("D.22", "Ai(ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d22, "airy",
+          {"a": (0.6, 1.5), "m": (1, 2), "nu": _NU}),
+    DItem("D.23", "Ai(-ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d23, "airy_neg",
+          {"a": (0.6, 1.5), "m": (1, 2), "nu": _NU}),
+    DItem("D.24", "Ai(ax) Ai'(ax) / x^(n+1)", "a>0, n>=0", d24, "airy_prod",
+          {"a": (0.6, 1.5), "n": (0, 2)}, index="n", offset=1, first=0, free_nu=False),
+    DItem("D.25", "Ai(ax) Ai'(ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d25, "airy_prod",
+          {"a": (0.6, 1.5), "m": (1, 2), "nu": _NU}),
+]}
 
 
 def get_item(item_id: str) -> DItem:
@@ -371,164 +403,96 @@ def get_item(item_id: str) -> DItem:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form finite-part providers for the builtin functions.  A provider
-# maps a kernel (k, nu, upper=inf) to ffp_0^inf f(x) / x^(k+nu) dx, returning
-# None where no closed form is tabulated (callers then fall back to the
-# generic series + tail route).
+# Closed-form finite-part providers for the builtins, derived from the rows
 # ---------------------------------------------------------------------------
 
-def _hook_exp_decay(a: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu > 0.0:
-            return d1(a, k, nu) if k >= 1 else None
-        # ffp exp(-ax)/x^k = (-a)^(k-1)/(k-1)! (psi(k) - ln a)
-        mag = math.exp((k - 1) * math.log(a) - math.lgamma(float(k)))
-        return (-1.0) ** (k - 1) * mag * (_psi(float(k)) - math.log(a))
-    return hook
+# per builtin: f's parameter names, then its rows at nu = 0 and at nu > 0 as
+# (evaluate, (step, offset, lowest k, highest k, flag)); flag: the row takes
+# its index (D.13 does not) at nu = 0, the whole power (D.3) at nu > 0.  D.3
+# goes last at nu = 0, where its odd powers are D.4's.
+_ROWS: dict[str, tuple[tuple[str, ...], list, list]] = {}
+for _row in sorted(D_ITEMS.values(), key=lambda r: r.index == "lam"):
+    _names, _log, _nu = _ROWS.setdefault(_row.builtin, (_row.builtin_params, [], []))
+    _lo = _row.offset + (0 if _row.index is None else _row.step * _row.first)
+    _lattice = (_row.step, _row.offset, _lo, _lo if _row.index is None else math.inf)
+    if not _row.free_nu or _row.index == "lam":
+        _log.append((_row.evaluate, (*_lattice, _row.index is not None)))
+    if _row.free_nu:
+        _nu.append((_row.evaluate, (*_lattice, _row.index == "lam")))
 
 
-def _hook_exp_osc(a: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu > 0.0:
-            return d2(a, k, nu) if k >= 1 else None
-        return d2_log(a, k - 1)
-    return hook
+def _exp_decay_log(a: float, k: int, nu: float) -> float | None:
+    # ffp exp(-ax)/x^k = (-a)^(k-1)/(k-1)! (psi(k) - ln a)
+    if nu > 0.0:
+        return None
+    mag = math.exp((k - 1) * math.log(a) - math.lgamma(float(k)))
+    return (-1.0) ** (k - 1) * mag * (_psi(float(k)) - math.log(a))
 
 
-def _hook_gaussian(a: float, shift: int = 0):
+def _exp_osc_log(a: float, k: int, nu: float) -> complex | None:
+    return None if nu > 0.0 else d2_log(a, k - 1)
+
+
+def _gaussian(a: float, shift: int, k: int, nu: float) -> float:
     # x^shift exp(-a x^2): the monomial absorbs into the kernel power,
     # s = k - shift + nu; positive odd integer s is the logarithmic case
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        s = k - shift + nu
-        if nu == 0.0 and int(round(s)) % 2 == 1 and s >= 1:
-            mm = (int(round(s)) + 1) // 2
-            mag = math.exp((mm - 1) * math.log(a) - math.lgamma(float(mm)))
-            return 0.5 * (-1.0) ** (mm - 1) * mag * (_psi(float(mm)) - math.log(a))
-        ln_neg, sign = sf.lgamma_sign(0.5 * (1.0 - s))
-        return 0.5 * sign * math.exp(0.5 * (s - 1.0) * math.log(a) + ln_neg)
-    return hook
+    s = k - shift + nu
+    if nu == 0.0 and int(round(s)) % 2 == 1 and s >= 1:
+        mm = (int(round(s)) + 1) // 2
+        mag = math.exp((mm - 1) * math.log(a) - math.lgamma(float(mm)))
+        return 0.5 * (-1.0) ** (mm - 1) * mag * (_psi(float(mm)) - math.log(a))
+    ln_neg, sign = sf.lgamma_sign(0.5 * (1.0 - s))
+    return 0.5 * sign * math.exp(0.5 * (s - 1.0) * math.log(a) + ln_neg)
 
 
-def _hook_j0_squared(a: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu == 0.0 and k % 2 == 1:
-            return d4(a, (k - 1) // 2)
-        lam = k + nu
-        return d3(a, lam) if lam > 1.0 else None
-    return hook
-
-
-def _hook_sqrt_inv_quad(a: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu > 0.0:
-            return d6(a, k, nu) if k >= 1 else None
-        if k % 2 == 1:
-            return d5(a, (k - 1) // 2)
+def _rational_quartic(beta: float, omega_j: float, k: int, nu: float) -> float | None:
+    if nu != 0.0 or k % 2 != 0:
         return None
-    return hook
+    from .finitepart import fp_quartic
+    return fp_quartic(beta, omega_j, (k - 2) // 2)
 
 
-def _hook_inv_cubic(c: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf or nu <= 0.0 or k < 1:
-            return None
-        return d7(c, k, nu)
-    return hook
-
-
-def _hook_inv_power_shift(s: float, mu: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu > 0.0:
-            return d11(s, mu, k, nu) if k >= 1 else None
-        return d10(s, mu, k - 1)
-    return hook
-
-
-def _hook_exp_decay_shift(a: float, c: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu > 0.0:
-            return d8(a, c, k, nu) if k >= 1 else None
-        return d9(a, c, k - 1)
-    return hook
-
-
-def _hook_fermi(a: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu > 0.0:
-            return d12(a, k, nu) if k >= 1 else None
-        if k == 1:
-            return d13(a)
-        if k % 2 == 0:
-            return d14(a, k // 2)
-        return d15(a, (k - 1) // 2)
-    return hook
-
-
-def _hook_airy(a: float, negated: bool):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu > 0.0:
-            if k < 1:
-                return None
-            return d23(a, k, nu) if negated else d22(a, k, nu)
-        if k % 3 == 0:
-            return d16(a, k // 3) if negated else d19(a, k // 3)
-        if k % 3 == 2:
-            return d17(a, (k + 1) // 3) if negated else d20(a, (k + 1) // 3)
-        return d18(a, (k + 2) // 3) if negated else d21(a, (k + 2) // 3)
-    return hook
-
-
-def _hook_airy_prod(a: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf:
-            return None
-        if nu > 0.0:
-            return d25(a, k, nu) if k >= 1 else None
-        return d24(a, k - 1)
-    return hook
-
-
-def _hook_rational_quartic(beta: float, omega_j: float):
-    def hook(k: int, nu: float, upper: float) -> complex | None:
-        if upper != math.inf or nu != 0.0 or k < 2 or k % 2 != 0:
-            return None
-        from .finitepart import fp_quartic
-        return fp_quartic(beta, omega_j, (k - 2) // 2)
-    return hook
-
-
-HOOK_FACTORIES = {
-    "exp_decay": lambda p: _hook_exp_decay(p["a"]),
-    "exp_osc": lambda p: _hook_exp_osc(p["a"]),
-    "gaussian": lambda p: _hook_gaussian(p["a"], 0),
-    "power_gaussian": lambda p: _hook_gaussian(p["a"], int(p["m"])),
-    "j0_squared": lambda p: _hook_j0_squared(p["a"]),
-    "sqrt_inv_quad": lambda p: _hook_sqrt_inv_quad(p["a"]),
-    "inv_cubic": lambda p: _hook_inv_cubic(p["c"]),
-    "inv_power_shift": lambda p: _hook_inv_power_shift(p["s"], p["mu"]),
-    "inv_linear": lambda p: _hook_inv_power_shift(p["c"], 1.0),
-    "exp_decay_shift": lambda p: _hook_exp_decay_shift(p["a"], p["c"]),
-    "fermi": lambda p: _hook_fermi(p["a"]),
-    "airy": lambda p: _hook_airy(p["a"], negated=False),
-    "airy_neg": lambda p: _hook_airy(p["a"], negated=True),
-    "airy_prod": lambda p: _hook_airy_prod(p["a"]),
-    "rational_quartic": lambda p: _hook_rational_quartic(p["beta"], p["omega_j"]),
+# closed forms with no table row, per builtin: params -> fp(k, nu)
+_EXTRA: dict[str, Callable[[Mapping[str, float]], Callable]] = {
+    "exp_decay": lambda p: partial(_exp_decay_log, p["a"]),
+    "exp_osc": lambda p: partial(_exp_osc_log, p["a"]),
+    "gaussian": lambda p: partial(_gaussian, p["a"], 0),
+    "power_gaussian": lambda p: partial(_gaussian, p["a"], int(p["m"])),
+    "rational_quartic": lambda p: partial(_rational_quartic, p["beta"], p["omega_j"]),
 }
+
+
+def fp_hook(name: str, params: Mapping[str, float]):
+    """The closed-form finite-part provider of builtin `name`, or None.
+
+    The provider maps (k, nu, upper) to ffp_0^inf f(x) x^-(k+nu) dx from the
+    first row of f whose lattice holds the kernel, else from f's _EXTRA
+    closed form.  It returns None for a finite upper limit, for a kernel
+    outside k + nu > 0 (where FpKernel refuses) and where no closed form
+    applies; callers then take the generic series + tail route.
+    """
+    if name == "inv_linear":             # 1/(c+x) is (s+x)^-mu at s = c, mu = 1
+        name, params = "inv_power_shift", {"s": params["c"], "mu": 1.0}
+    names, log, free = _ROWS.get(name, ((), (), ()))
+    extra = _EXTRA.get(name)
+    if name not in _ROWS and extra is None:
+        return None
+    extra = extra(params) if extra else None
+    args = [params[p] for p in names]
+    log_rows = [(partial(fn, *args),) + lattice for fn, lattice in log]
+    nu_rows = [(partial(fn, *args),) + lattice for fn, lattice in free]
+
+    def hook(k: int, nu: float, upper: float) -> complex | None:
+        if upper != math.inf:
+            return None
+        if nu == 0.0:
+            for call, step, offset, lo, hi, indexed in log_rows:
+                if lo <= k <= hi and (k - offset) % step == 0:
+                    return call((k - offset) // step) if indexed else call()
+        else:
+            for call, step, offset, lo, hi, power in nu_rows:
+                if lo <= k <= hi and (k - offset) % step == 0:
+                    return call(k + nu) if power else call((k - offset) // step, nu)
+        # no row holds a kernel below k = 1, so only the extras need the check
+        return None if extra is None or k + nu <= 0.0 else extra(k, nu)
+    return hook

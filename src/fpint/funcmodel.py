@@ -18,7 +18,6 @@ import numpy as np
 
 from . import dtable
 from .errors import AllZeroError, ConsistencyError, DomainError, UnknownBuiltin
-from .precision import sum_series
 
 # Tail-decay kinds
 TAIL_SUPEREXP = "superexponential"
@@ -75,7 +74,6 @@ class AnalyticFunction:
                  tail_neg: TailDecay | None = None,
                  zero_order: int | None = None,
                  fp_hook: Callable[[int, float, float], complex | None] | None = None,
-                 eval_cplx: Callable[[complex], complex] | None = None,
                  params: dict | None = None):
         if rho0 <= 0.0:
             raise DomainError("rho0 must be positive (or inf)")
@@ -91,7 +89,6 @@ class AnalyticFunction:
             self.tail if parity in ("even", "odd") else tail_none())
         self._zero_order = zero_order
         self.fp_hook = fp_hook
-        self._eval_cplx = eval_cplx
         self.params = dict(params or {})
         self._cache: list[complex] = []
         self._lock = threading.Lock()
@@ -130,32 +127,15 @@ class AnalyticFunction:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x):
-        """Evaluate f at a real scalar, a complex scalar, or a float array."""
+        """Evaluate f at a real scalar or a float array."""
         if isinstance(x, np.ndarray):
             return self._eval(x)
         xc = complex(x)
-        if xc.imag == 0.0:
-            out = self._eval(np.array([xc.real], dtype=float))
-            val = out[0]
-            return complex(val) if np.iscomplexobj(out) else float(val)
-        if self._eval_cplx is not None:
-            return self._eval_cplx(xc)
-        return self._series_value(xc)
-
-    def _series_value(self, z: complex, rel_tol: float = 1e-13) -> complex:
-        limit = min(self.rho0 * 0.9, 1e300)
-        if abs(z) > limit:
-            raise DomainError(
-                f"{self.name}: complex evaluation by series needs |z| < 0.9 rho0")
-        pw = 1.0 + 0.0j
-
-        def term(n: int) -> complex:
-            nonlocal pw
-            t = self.maclaurin(n) * pw
-            pw *= z
-            return t
-
-        return sum_series(term, rel_tol, 600, first_stop=5)[0]
+        if xc.imag != 0.0:
+            raise DomainError(f"{self.name}: evaluation needs a real point, got {x!r}")
+        out = self._eval(np.array([xc.real], dtype=float))
+        val = out[0]
+        return complex(val) if np.iscomplexobj(out) else float(val)
 
     # -- derived functions ---------------------------------------------------
 
@@ -177,7 +157,6 @@ class AnalyticFunction:
             parent.rho0, parity=parent.parity,
             tail=parent.tail_neg, tail_neg=parent.tail,
             zero_order=parent._zero_order,
-            eval_cplx=(lambda z: parent._eval_cplx(-z)) if parent._eval_cplx else None,
         )
 
     def safe_radius(self) -> float:
@@ -211,8 +190,7 @@ def from_coefficients(coeffs: Sequence[complex] | Callable[[int], complex],
         return out
 
     f = AnalyticFunction(name, ev, coeff_fn, rho0, parity=parity,
-                         tail=tail_decay, zero_order=zero_order,
-                         eval_cplx=lambda z: complex(evaluator(z)))
+                         tail=tail_decay, zero_order=zero_order)
     if check:
         _consistency_probe(f)
     return f
@@ -269,7 +247,9 @@ def factor_zero(f: AnalyticFunction):
 
     hook = None
     if parent.fp_hook is not None:
-        hook = lambda k, nu, upper: parent.fp_hook(k + m, nu, upper)
+        # the shift carries kernels outside g's domain k + nu > 0 into f's
+        def hook(k, nu, upper):
+            return parent.fp_hook(k + m, nu, upper) if k + nu > 0.0 else None
 
     g = AnalyticFunction(
         f"{f.name}/x^{m}", ev,
@@ -277,9 +257,6 @@ def factor_zero(f: AnalyticFunction):
         parent.rho0, parity=g_parity,
         tail=g_tail(parent.tail), tail_neg=g_tail(parent.tail_neg),
         zero_order=0, fp_hook=hook,
-        eval_cplx=(lambda z: parent._eval_cplx(z) / z ** m
-                   if abs(z) > 1e-6 else parent._series_value(z) / z ** m
-                   ) if parent._eval_cplx else None,
     )
     return m, g
 
@@ -297,7 +274,6 @@ def scaled(f: AnalyticFunction, c: complex) -> AnalyticFunction:
         lambda n: c * f.maclaurin(n), f.rho0, parity=f.parity,
         tail=f.tail, tail_neg=f.tail_neg, zero_order=f._zero_order,
         fp_hook=hook,
-        eval_cplx=(lambda z: c * f._eval_cplx(z)) if f._eval_cplx else None,
     )
 
 
@@ -342,8 +318,6 @@ def linear_combination(alpha: complex, f: AnalyticFunction,
         min(f.rho0, h.rho0), parity=parity,
         tail=combine(f.tail, h.tail), tail_neg=combine(f.tail_neg, h.tail_neg),
         fp_hook=hook,
-        eval_cplx=(lambda z: alpha * f._eval_cplx(z) + beta * h._eval_cplx(z))
-        if (f._eval_cplx and h._eval_cplx) else None,
     )
 
 
@@ -382,7 +356,6 @@ def _make_const(c: float = 1.0):
         coeff_fn=lambda n: c if n == 0 else 0.0,
         rho0=math.inf, parity="even",
         tail=TailDecay(TAIL_ALG, power=0.0),
-        eval_cplx=lambda z: complex(c),
     )
 
 
@@ -393,7 +366,6 @@ def _make_exp_decay(a: float):
         coeff_fn=lambda n: ((-1.0) ** n) * _pow_over_factorial(a, n),
         rho0=math.inf, parity="none",
         tail=TailDecay(TAIL_EXP, rate=a), tail_neg=tail_none(),
-        eval_cplx=lambda z: np.exp(-a * z),
     )
 
 
@@ -405,7 +377,6 @@ def _make_exp_osc(a: float):
         rho0=math.inf, parity="none",
         tail=TailDecay(TAIL_OSC_ALG, power=0.0, phase_coeff=abs(a), phase_power=1.0),
         tail_neg=TailDecay(TAIL_OSC_ALG, power=0.0, phase_coeff=abs(a), phase_power=1.0),
-        eval_cplx=lambda z: np.exp(1j * a * z),
     )
 
 
@@ -416,7 +387,6 @@ def _make_gaussian(a: float):
         coeff_fn=lambda n: ((-1.0) ** (n // 2)) * _pow_over_factorial(a, n // 2)
         if n % 2 == 0 else 0.0,
         rho0=math.inf, parity="even", tail=TailDecay(TAIL_SUPEREXP),
-        eval_cplx=lambda z: np.exp(-a * z * z),
     )
 
 
@@ -435,7 +405,6 @@ def _make_power_gaussian(m: int, a: float):
         coeff_fn=coeff, rho0=math.inf,
         parity="even" if m % 2 == 0 else "odd",
         tail=TailDecay(TAIL_SUPEREXP), zero_order=m,
-        eval_cplx=lambda z: z ** m * np.exp(-a * z * z),
     )
 
 
@@ -448,7 +417,6 @@ def _make_sin(a: float = 1.0):
         rho0=math.inf, parity="odd",
         tail=TailDecay(TAIL_OSC_ALG, power=0.0, phase_coeff=abs(a), phase_power=1.0),
         zero_order=1,
-        eval_cplx=lambda z: np.sin(a * z),
     )
 
 
@@ -487,7 +455,6 @@ def _make_sqrt_inv_quad(a: float):
         eval_fn=lambda x: 1.0 / np.sqrt(x * x + a * a),
         coeff_fn=coeff, rho0=a, parity="even",
         tail=TailDecay(TAIL_ALG, power=1.0),
-        eval_cplx=lambda z: 1.0 / np.sqrt(z * z + a * a),
     )
 
 
@@ -498,7 +465,6 @@ def _make_inv_cubic(c: float):
         coeff_fn=lambda n: ((-1.0) ** (n // 3)) * c ** (-3.0 - n) if n % 3 == 0 else 0.0,
         rho0=c, parity="none",
         tail=TailDecay(TAIL_ALG, power=3.0), tail_neg=tail_none(),
-        eval_cplx=lambda z: 1.0 / (c ** 3 + z ** 3),
     )
 
 
@@ -514,14 +480,12 @@ def _make_inv_power_shift(s: float, mu: float):
         eval_fn=lambda x: (s + x) ** (-mu),
         coeff_fn=coeff, rho0=s, parity="none",
         tail=TailDecay(TAIL_ALG, power=mu), tail_neg=tail_none(),
-        eval_cplx=lambda z: (s + z) ** (-mu),
     )
 
 
 def _make_inv_linear(c: float):
     base = _make_inv_power_shift(c, 1.0)
     base["eval_fn"] = lambda x: 1.0 / (c + x)
-    base["eval_cplx"] = lambda z: 1.0 / (c + z)
     return base
 
 
@@ -539,7 +503,6 @@ def _make_exp_decay_shift(a: float, c: float):
         eval_fn=lambda x: np.exp(-a * x) / (x + c),
         coeff_fn=coeff, rho0=c, parity="none",
         tail=TailDecay(TAIL_EXP, rate=a), tail_neg=tail_none(),
-        eval_cplx=lambda z: np.exp(-a * z) / (z + c),
     )
 
 
@@ -575,7 +538,6 @@ def _make_fermi(a: float):
     return dict(
         eval_fn=ev, coeff_fn=coeff, rho0=math.pi / a, parity="none",
         tail=TailDecay(TAIL_EXP, rate=a), tail_neg=tail_none(),
-        eval_cplx=lambda z: 1.0 / (np.exp(a * z) + 1.0),
     )
 
 
@@ -644,7 +606,6 @@ def _make_rational_quartic(beta: float, omega_j: float):
         eval_fn=lambda x: 1.0 / (x ** 4 - 2.0 * beta * w2 * x ** 2 + w4),
         coeff_fn=coeff, rho0=quartic_rho0(beta, omega_j), parity="even",
         tail=TailDecay(TAIL_ALG, power=4.0),
-        eval_cplx=lambda z: 1.0 / (z ** 4 - 2.0 * beta * w2 * z ** 2 + w4),
     )
 
 
@@ -701,15 +662,12 @@ def builtin(name: str, **params) -> AnalyticFunction:
     if nonfinite:
         raise DomainError(f"{name}: parameters {nonfinite} must be finite")
     spec = factory(**{k: merged[k] for k in arg_names})
-    hook_factory = dtable.HOOK_FACTORIES.get(name)
-    fp_hook = hook_factory(merged) if hook_factory else None
     label = name if not merged else \
         name + ":" + ",".join(f"{k}={merged[k]:g}" for k in arg_names)
     out = AnalyticFunction(label, spec["eval_fn"], spec["coeff_fn"], spec["rho0"],
                            parity=spec.get("parity", "none"),
                            tail=spec.get("tail"), tail_neg=spec.get("tail_neg"),
                            zero_order=spec.get("zero_order"),
-                           fp_hook=fp_hook, eval_cplx=spec.get("eval_cplx"),
-                           params=merged)
+                           fp_hook=dtable.fp_hook(name, merged), params=merged)
     out.base_name = name
     return out

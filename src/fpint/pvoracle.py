@@ -132,6 +132,8 @@ def _power_ladder_fit(xs: np.ndarray, sums: np.ndarray, gamma: float) -> complex
     cols = [np.ones_like(xs)] + [xs ** (-(gamma + 0.5 * i)) for i in range(6)]
     design = np.column_stack(cols)
     norms = np.linalg.norm(design, axis=0)
+    # columns whose powers underflow to 0 on these abscissae carry no information
+    norms[norms == 0.0] = 1.0
     coef, *_ = np.linalg.lstsq(design / norms, sums, rcond=None)
     return complex((coef / norms)[0])
 

@@ -153,6 +153,12 @@ class TestExitCodes:
         assert (got, out) == (code, "")
         assert "Traceback" not in err
 
+    def test_kernel_outside_domain(self, capsys):
+        code, out, err = run(capsys, [
+            "eval-fp", "--function", "exp_decay:a=1", "--k", "0", "--upper", "inf"])
+        assert (code, out) == (3, "")
+        assert "DomainError" in err and "Traceback" not in err
+
     def test_numerical_failure(self, capsys):
         # omega at the convergence boundary: named numerical failure, exit 3
         code, _, err = run(capsys, [

@@ -158,6 +158,11 @@ def test_reflect_exp_osc_uses_negated_parameter():
     assert abs(complex(fr.evaluate(0.5)) - complex(f.evaluate(-0.5))) < 1e-14
 
 
+def test_non_real_point_refused():
+    with pytest.raises(DomainError):
+        fm.builtin("exp_decay", a=1.0).evaluate(0.5 + 0.1j)
+
+
 def test_reflect_even_is_identity():
     f = fm.builtin("gaussian", a=1.0)
     assert f.reflect() is f

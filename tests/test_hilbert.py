@@ -133,6 +133,16 @@ class TestFullLineNu:
         want = pv.pv_transform("full_line_branch", f, 0.5, -0.5, math.inf)
         assert rel(rep.value, want) < 1e-9
 
+    @pytest.mark.parametrize("force_generic_parity", [False, True])
+    @pytest.mark.parametrize("nu", [0.3, 0.7])
+    def test_branch_exp_osc_generic_route(self, nu, force_generic_parity):
+        # the oscillatory tail's power-ladder fit meets columns that underflow to 0
+        f = fm.builtin("exp_osc", a=1.0)
+        want = hb.full_line_branch(f, nu, 0.9).value
+        got = hb.full_line_branch(f, nu, 0.9, fp_mode="generic",
+                                  force_generic_parity=force_generic_parity).value
+        assert rel(got, want) < 1e-10
+
     @pytest.mark.parametrize("variant", ["full_line_abs", "full_line_abs_sgn"])
     def test_abs_exp_osc_vs_oracle(self, variant):
         f = fm.builtin("exp_osc", a=1.0)
