@@ -13,14 +13,22 @@ variant: a list of series arms and one singular term.  An arm
 with h = g (h = f for the Stieltjes kernel, z = -omega there).  Its terms
 with k < 0 and p + step k >= 0 have a kernel index j + step k <= 0: they are
 ordinary integrals, and together they are the convergent prefix.  The
-singular term is the closed form the kernel singularity contributes
-(f(omega) ln omega, pi cot(pi nu) ... / omega^nu, and so on, by variant).
+singular term is the closed form the kernel singularity contributes.  Every
+variant's is one form with data (alpha, beta, log):
+
+    (alpha g(omega) + beta g(-omega)) * omega^m * |omega|^-nu  [* ln|omega|]
 
 The Stieltjes and one-sided kernels have one arm of step 1.  The symmetric
 kernels, and the full-line kernels when g is even, share the two-arm parity
 form (c_even, c_odd): step 2 over odd (j = 1) and even (j = 2) kernel
 indices.  The full-line kernels for g of no parity have one arm of step 1
 whose h combines g(-x) and g(x).
+
+The small-omega leading term is the lowest power of omega (a log wins a tie)
+among the singular term, which for g of zero order n starts at
+omega^(m + n - nu) with (alpha + beta (-1)^n) g_n (or at n + 1 when that
+vanishes), and each arm's first term: omega^(p mod step) times its first
+prefix integral when p >= step, else its k = 0 finite part.
 """
 
 from __future__ import annotations
@@ -124,8 +132,29 @@ def _prefix_integral(g: AnalyticFunction, power: float, a: float,
                             budget=budget, tail=g.tail, tail_extra_power=-power)
 
 
+def _arm_term(arm: _Arm, k: int,
+              fp: Callable[[AnalyticFunction, int], complex]) -> complex:
+    """Term k >= 0 of the arm; fp(h, n) is the finite part of h x^-(n + nu)."""
+    n = arm.j + arm.step * k
+    h = fp(arm.g, n) if arm.gneg is None else \
+        (-1.0) ** k * arm.w * fp(arm.gneg, n) + arm.s * fp(arm.g, n)
+    return complex(arm.c * arm.z ** (arm.p + arm.step * k) * h)
+
+
+def _prefix_terms(arm: _Arm, nu: float, a: float, budget: QuadratureBudget):
+    """Yield the arm's terms of non-positive kernel index (ordinary integrals)."""
+    g = arm.g
+    for k in range(-(arm.p // arm.step), 0):
+        combo = None
+        if arm.gneg is not None:
+            def combo(x: np.ndarray, _k=k):
+                return (-1.0) ** _k * arm.w * g.evaluate(-x) + arm.s * g.evaluate(x)
+        yield arm.c * arm.z ** (arm.p + arm.step * k) * _prefix_integral(
+            g, -(arm.j + arm.step * k) - nu, a, budget, combo)
+
+
 class _Engine:
-    """Shared series/prefix machinery bound to one (f, spec) evaluation."""
+    """Series machinery bound to one (f, spec) evaluation."""
 
     def __init__(self, f: AnalyticFunction, spec: TransformSpec,
                  precision: PrecisionConfig, budget: QuadratureBudget, fp_mode: str):
@@ -165,12 +194,7 @@ class _Engine:
         def term(k: int) -> complex:
             nonlocal noise
             self._term_cancel = 1.0
-            n = arm.j + arm.step * k
-            if arm.gneg is None:
-                h = self.fp(arm.g, n)
-            else:
-                h = (-1.0) ** k * arm.w * self.fp(arm.gneg, n) + arm.s * self.fp(arm.g, n)
-            t = complex(arm.c * arm.z ** (arm.p + arm.step * k) * h)
+            t = _arm_term(arm, k, self.fp)
             noise += abs(t) * self._term_cancel * 1e-16
             return t
 
@@ -179,17 +203,6 @@ class _Engine:
             ratio_limit=RATIO_LIMIT if self.bounded_domain else None)
         self._check_cancellation(peak_term, noise, abs(total))
         return total, used, tail
-
-    def arm_prefix(self, arm: _Arm):
-        """Yield the arm's terms of non-positive kernel index (ordinary integrals)."""
-        g = arm.g
-        for k in range(-(arm.p // arm.step), 0):
-            combo = None
-            if arm.gneg is not None:
-                def combo(x: np.ndarray, _k=k):
-                    return (-1.0) ** _k * arm.w * g.evaluate(-x) + arm.s * g.evaluate(x)
-            yield arm.c * arm.z ** (arm.p + arm.step * k) * _prefix_integral(
-                g, -(arm.j + arm.step * k) - self.spec.nu, self.spec.a, self.budget, combo)
 
     def _check_cancellation(self, peak_term: float, noise: float,
                             total_mag: float) -> None:
@@ -257,44 +270,35 @@ def _arms(v: str, f: AnalyticFunction, g: AnalyticFunction, m: int,
 
 
 def _singular(v: str, g: AnalyticFunction, m: int, omega: float, nu: float,
-              notes: list[str]) -> complex:
-    """Closed-form contribution of the kernel singularity at x = omega."""
+              notes: list[str]) -> tuple[complex, complex, bool]:
+    """Singular term (alpha, beta, log) of variant v (see the module docstring)."""
+    log = nu == 0.0
     if v == "stieltjes":                       # g = f, m = 0 here
-        if nu == 0.0:
-            return -g.evaluate(-omega) * math.log(omega)
-        return math.pi / math.sin(math.pi * nu) * g.evaluate(-omega) / omega ** nu
-    if v == "full_line":
-        return 0.0
-    gw = g.evaluate(omega)
+        return 0.0, -1.0 if log else math.pi / math.sin(math.pi * nu), log
     if v == "one_sided":
-        if nu == 0.0:
-            return omega ** m * gw * math.log(omega)
-        return -math.pi / math.tan(math.pi * nu) * omega ** (m - nu) * gw
+        return 1.0 if log else -math.pi / math.tan(math.pi * nu), 0.0, log
     if v in ("sym_omega", "sym_x"):
         odd = v == "sym_omega"
-        gmw = g.evaluate(-omega)
-        sgn_m = (-1.0) ** m
-        if nu == 0.0:
+        sgn = -(-1.0) ** m if odd else (-1.0) ** m
+        if log:
             # the log term cancels when f = x^m g is even (sym_omega) or odd (sym_x)
             if {"even": m % 2 == 0, "odd": m % 2 == 1}.get(g.parity) == odd:
-                return 0.0
-            combo = gw - sgn_m * gmw if odd else gw + sgn_m * gmw
-            return 0.5 * omega ** m * combo * math.log(omega)
-        cot_part = gw / math.tan(math.pi * nu)
-        csc_part = sgn_m * gmw / math.sin(math.pi * nu)
-        return -0.5 * math.pi * omega ** (m - nu) * (
-            cot_part - csc_part if odd else cot_part + csc_part)
+                return 0.0, 0.0, False
+            return 0.5, 0.5 * sgn, True
+        return (-0.5 * math.pi / math.tan(math.pi * nu),
+                -0.5 * math.pi * sgn / math.sin(math.pi * nu), False)
+    if v == "full_line":
+        return 0.0, 0.0, False
     if v == "full_line_sgn":
-        return 2.0 * omega ** m * gw * math.log(abs(omega))
+        return 2.0, 0.0, True
     if v == "full_line_branch":
         if omega > 0:
-            return -1j * math.pi * omega ** (m - nu) * gw
+            return -1j * math.pi, 0.0, False
         notes.append("omega < 0: power continued above the branch cut")
-        return -1j * math.pi * cmath.exp((m - nu) * (math.log(-omega) + 1j * math.pi)) * gw
+        return -1j * math.pi * cmath.exp(-1j * math.pi * nu), 0.0, False
     if v == "full_line_abs":
-        return (math.pi * math.tan(0.5 * math.pi * nu) * math.copysign(1.0, omega)
-                * omega ** m * gw / abs(omega) ** nu)
-    return -math.pi / math.tan(0.5 * math.pi * nu) * omega ** m * gw / abs(omega) ** nu
+        return math.pi * math.tan(0.5 * math.pi * nu) * math.copysign(1.0, omega), 0.0, False
+    return -math.pi / math.tan(0.5 * math.pi * nu), 0.0, False
 
 
 def evaluate_transform(spec: TransformSpec, f: AnalyticFunction,
@@ -314,16 +318,20 @@ def evaluate_transform(spec: TransformSpec, f: AnalyticFunction,
     m, g = (0, f) if v == "stieltjes" else factor_zero(f)
     if m:
         eng.notes.append(f"zero of order m={m} at the origin")
-    singular = complex(_singular(v, g, m, omega, nu, eng.notes))
+    alpha, beta, log = _singular(v, g, m, omega, nu, eng.notes)
+    singular = 0.0 + 0.0j
+    if alpha or beta:
+        gsum = ((alpha * g.evaluate(omega) if alpha else 0.0)
+                + (beta * g.evaluate(-omega) if beta else 0.0))
+        singular = complex(gsum * omega ** m * abs(omega) ** -nu
+                           * (math.log(abs(omega)) if log else 1.0))
     arms = _arms(v, f, g, m, omega, nu, force_generic_parity, eng.notes)
     series, used, tail = 0.0 + 0.0j, 0, 0.0
     for arm in arms:
         s, u, t = eng.arm_series(arm)
         series, used, tail = series + s, used + u, tail + t
-    prefix = 0.0 + 0.0j
-    for arm in arms:
-        for term in eng.arm_prefix(arm):
-            prefix += term
+    prefix = sum((t for arm in arms for t in _prefix_terms(arm, nu, spec.a, budget)),
+                 0.0 + 0.0j)
     return EvalReport(prefix + series + singular, series, singular, prefix, used,
                       float(tail), eng.notes)
 
@@ -395,99 +403,35 @@ class LeadingTerm:
 def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
                            precision: PrecisionConfig | None = None,
                            budget: QuadratureBudget | None = None) -> LeadingTerm:
-    """Dominant omega -> 0 term of the transform (tabulated leading laws)."""
+    """Dominant omega -> 0 term of the transform, read off its arms and
+    singular term (see the module docstring); omega enters only by its sign."""
     precision = precision or default_precision()
     budget = budget or QuadratureBudget()
-    nu, a = spec.nu, spec.a
-    v = spec.variant
-    m, g = factor_zero(f)
-    g0 = complex(g.evaluate(0.0)) if m else complex(f.evaluate(0.0))
-
-    def integ(power: float, combo=None) -> complex:
-        return _prefix_integral(g, power, a, budget, combo)
-
-    def fpv(fn: AnalyticFunction, k: int, nu_: float) -> complex:
-        return resolve_fp(fn, k, nu_, a, precision, budget).value
-
-    def out(kind: str, coef: complex, expo: float = 0.0) -> LeadingTerm:
-        if abs(coef) < PROVISO_FLOOR:
-            raise ProvisoViolated(
-                f"leading coefficient {coef} below {PROVISO_FLOOR}; "
-                "the leading-term law's non-vanishing proviso fails")
-        return LeadingTerm(kind, coef, expo)
-
-    if v == "stieltjes":
-        if m == 0:
-            if nu == 0.0:
-                return out(LEAD_LOG, -g0)
-            return out(LEAD_POWER, math.pi / math.sin(math.pi * nu) * g0, -nu)
-        return out(LEAD_CONSTANT, fpv(f, 1, nu))
-    if v == "one_sided":
-        if m == 0:
-            if nu == 0.0:
-                return out(LEAD_LOG, g0)
-            return out(LEAD_POWER, -math.pi / math.tan(math.pi * nu) * g0, -nu)
-        return out(LEAD_CONSTANT, -integ(m - 1 - nu))
-    if v in ("full_line", "full_line_abs"):
-        if m == 0 and v == "full_line":
-            if f.parity != "even":
-                return out(LEAD_CONSTANT, fpv(f.reflect(), 1, 0.0) - fpv(f, 1, 0.0))
-            return out(LEAD_POWER, -2.0 * fpv(f, 2, 0.0), 1.0)
-        if m == 0:
-            return out(LEAD_POWER, math.pi * math.tan(0.5 * math.pi * nu) * g0, -nu)
-        if g.parity == "even":
-            return out(LEAD_POWER, -2.0 * integ(2 * ((m - 1) // 2) - nu),
-                       2 * (m // 2) - m + 1)
-        return out(LEAD_CONSTANT,
-                   integ(m - nu - 1, lambda x: (-1.0) ** m * g.evaluate(-x) - g.evaluate(x)))
-    if v in ("full_line_sgn", "full_line_abs_sgn"):
-        if m == 0 and v == "full_line_sgn":
-            return out(LEAD_LOG, 2.0 * g0)
-        if m == 0:
-            return out(LEAD_POWER, -math.pi / math.tan(0.5 * math.pi * nu) * g0, -nu)
-        if g.parity == "even":
-            # at m = 1 the singular term, 2 omega g(omega) ln|omega| or
-            # ~omega^{1-nu}, beats the omega * finite-part term
-            if m == 1 and v == "full_line_sgn":
-                return out(LEAD_POWER_LOG, 2.0 * g0, 1.0)
-            if m == 1:
-                return out(LEAD_POWER,
-                           -math.pi / math.tan(0.5 * math.pi * nu) * g0, 1.0 - nu)
-            return out(LEAD_POWER, -2.0 * integ(2 * ((m - 2) // 2) + 1 - nu),
-                       2 * ((m + 1) // 2) - m)
-        return out(LEAD_CONSTANT,
-                   -integ(m - nu - 1, lambda x: (-1.0) ** m * g.evaluate(-x) + g.evaluate(x)))
-    if v == "full_line_branch":
-        wgt = cmath.exp(-1j * math.pi * nu)
-        if m == 0:
-            return out(LEAD_POWER, -1j * math.pi * g0, -nu)
-        if g.parity == "even":
-            half = cmath.exp(-0.5j * math.pi * nu)
-            if m % 2 == 1:
-                return out(LEAD_CONSTANT,
-                           -2.0 * half * math.cos(0.5 * math.pi * nu) * integ(m - nu - 1))
-            return out(LEAD_CONSTANT,
-                       -2j * half * math.sin(0.5 * math.pi * nu) * integ(m - nu - 1))
-        return out(LEAD_CONSTANT,
-                   integ(m - nu - 1,
-                         lambda x: (-1.0) ** m * wgt * g.evaluate(-x) - g.evaluate(x)))
-    if v == "sym_omega":
-        if nu == 0.0 and m == 0:
-            if f.parity == "even":
-                return out(LEAD_POWER, -fpv(f, 2, 0.0), 1.0)
-            return out(LEAD_POWER_LOG, complex(f.maclaurin(1)), 1.0)
-        if nu == 0.0 and m == 1:
-            return out(LEAD_POWER_LOG, g0, 1.0)
-        if m == 0:
-            return out(LEAD_POWER, 0.5 * math.pi * math.tan(0.5 * math.pi * nu) * g0, -nu)
-        if m == 1:
-            return out(LEAD_POWER, -0.5 * math.pi / math.tan(0.5 * math.pi * nu) * g0,
-                       1.0 - nu)
-        return out(LEAD_POWER, -integ(m - nu - 2), 1.0)
-    if v == "sym_x":
-        if m == 0 and nu == 0.0:
-            return out(LEAD_LOG, g0)
-        if m == 0:
-            return out(LEAD_POWER, -0.5 * math.pi / math.tan(0.5 * math.pi * nu) * g0, -nu)
-        return out(LEAD_CONSTANT, -integ(m - nu - 1))
-    raise DomainError(f"unknown variant {v!r}")
+    v, omega, nu, a = spec.variant, spec.omega, spec.nu, spec.a
+    m, g = (0, f) if v == "stieltjes" else factor_zero(f)
+    candidates = []                            # (exponent, log, coefficient)
+    alpha, beta, log = _singular(v, g, m, omega, nu, [])
+    if alpha or beta:
+        n = g.zero_order
+        if alpha + beta * (-1.0) ** n == 0.0:
+            n += 1
+        coef = (alpha + beta * (-1.0) ** n) * g.maclaurin(n)
+        if nu:                                 # evaluate() takes |omega|^exponent
+            coef *= math.copysign(1.0, omega) ** (m + n)
+        candidates.append((m + n - nu, log, coef))
+    # omega = 1 makes z = +-1, so each term is its coefficient of omega^e
+    for arm in _arms(v, f, g, m, 1.0, nu, False, []):
+        first = (next(_prefix_terms(arm, nu, a, budget)) if arm.p >= arm.step else _arm_term(
+            arm, 0, lambda h, k: resolve_fp(h, k, nu, a, precision, budget).value))
+        candidates.append((float(arm.p % arm.step), False, first))
+    expo, log, coef = min(candidates, key=lambda c: (c[0], not c[1]))
+    if abs(coef) < PROVISO_FLOOR:
+        raise ProvisoViolated(
+            f"leading coefficient {coef} below {PROVISO_FLOOR}; "
+            "the leading-term law's non-vanishing proviso fails")
+    if log:
+        kind = LEAD_POWER_LOG if expo else LEAD_LOG
+    else:       # the even-reduced full-line routes call their omega^0 term a power law
+        kind = LEAD_POWER if expo or (g.parity == "even" and v in {
+            "full_line", "full_line_sgn", "full_line_abs", "full_line_abs_sgn"}) else LEAD_CONSTANT
+    return LeadingTerm(kind, complex(coef), expo)

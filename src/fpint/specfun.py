@@ -599,6 +599,9 @@ def _bernoulli_table(n_max: int) -> list[Fraction]:
 
 
 _BERNOULLI = _bernoulli_table(128)
+# B_2j / (2j)! for j = 1..15: the Euler-Maclaurin correction weights of _zeta_em
+_ZETA_EM_WEIGHTS = tuple(float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
+                         for j in range(1, 16))
 
 
 def bernoulli_even(n: int) -> float:
@@ -611,7 +614,6 @@ def bernoulli_even(n: int) -> float:
 def _zeta_em(s: float, want_derivative: bool = False) -> float:
     """Euler-Maclaurin zeta(s) (or zeta'(s)) for s > -1, s != 1."""
     n_base = 24
-    j_terms = 15
     total = 0.0
     dtotal = 0.0
     for kk in range(1, n_base):
@@ -627,8 +629,7 @@ def _zeta_em(s: float, want_derivative: bool = False) -> float:
     total += b
     dtotal -= ln_n * b
     npow = nn ** (-s - 1.0)
-    for j in range(1, j_terms + 1):
-        coeff = float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
+    for j, coeff in enumerate(_ZETA_EM_WEIGHTS, 1):
         poch = 1.0
         dpoch = 0.0
         for i in range(2 * j - 1):

@@ -169,14 +169,19 @@ class TestExitCodes:
 
 
 def test_console_entry_point_subprocess(tmp_path):
-    import subprocess, sys
+    import os, subprocess, sys
+    import fpint
+    # the child sees the same fpint as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fpint.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     for out in (out1, out2):
         proc = subprocess.run(
             [sys.executable, "-m", "fpint.cli", "verify", "--items", "D.19",
              "--hash-mode", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
     # cross-process byte determinism
     assert out1.read_bytes() == out2.read_bytes()

@@ -6,7 +6,7 @@ import pytest
 from fpint import funcmodel as fm
 from fpint import hilbert as hb
 from fpint import pvoracle as pv
-from fpint.errors import ConvergenceDomain, DomainError, ProvisoViolated
+from fpint.errors import ConvergenceDomain, DomainError, ProvisoViolated, TailNotIntegrable
 
 
 def rel(got, want):
@@ -388,3 +388,64 @@ class TestSmallOmega:
             errs.append(abs(val / lead.evaluate(w) - 1.0))
         assert errs[2] <= 0.05, errs
         assert errs[0] > errs[2], errs
+
+    @pytest.mark.parametrize("variant,nu,kind,exponent", [
+        ("stieltjes", 0.0, hb.LEAD_CONSTANT, 0.0),
+        ("stieltjes", 0.4, hb.LEAD_CONSTANT, 0.0),
+        ("one_sided", 0.0, hb.LEAD_CONSTANT, 0.0),
+        ("one_sided", 0.4, hb.LEAD_CONSTANT, 0.0),
+        ("full_line", 0.0, hb.LEAD_CONSTANT, 0.0),
+        ("full_line_sgn", 0.0, hb.LEAD_CONSTANT, 0.0),
+        ("full_line_branch", 0.4, hb.LEAD_CONSTANT, 0.0),
+        ("full_line_abs", 0.4, hb.LEAD_CONSTANT, 0.0),
+        ("full_line_abs_sgn", 0.4, hb.LEAD_CONSTANT, 0.0),
+        ("sym_omega", 0.0, hb.LEAD_POWER_LOG, 1.0),
+        ("sym_omega", 0.4, hb.LEAD_POWER, 0.6),
+        ("sym_x", 0.0, hb.LEAD_CONSTANT, 0.0),
+        ("sym_x", 0.4, hb.LEAD_CONSTANT, 0.0),
+    ])
+    def test_no_parity_zero_order_rows(self, variant, nu, kind, exponent):
+        # f = x (1 + x) e^{-x^2}: a simple zero and a g of no parity, so the
+        # full-line leading terms combine g(-x) and g(x)
+        f = fm.linear_combination(1.0, fm.builtin("power_gaussian", m=1, a=1.0),
+                                  1.0, fm.builtin("power_gaussian", m=2, a=1.0))
+        lead = hb.small_omega_asymptotic(hb.TransformSpec(variant, 1e-3, nu), f)
+        assert lead.kind == kind
+        assert lead.exponent == pytest.approx(exponent, abs=1e-15)
+        errs = []
+        for w in (1e-2, 1e-3, 1e-4):
+            val = hb.evaluate_transform(hb.TransformSpec(variant, w, nu), f).value
+            errs.append(abs(val / lead.evaluate(w) - 1.0))
+        assert errs[0] > errs[1] > errs[2], errs
+
+    @pytest.mark.parametrize("name,params", [
+        ("exp_decay", {"a": 1.0}), ("inv_linear", {"c": 1.0}), ("fermi", {"a": 1.0})])
+    @pytest.mark.parametrize("variant,nu", [
+        ("full_line_sgn", 0.0), ("full_line_branch", 0.4), ("full_line_abs", 0.4),
+        ("full_line_abs_sgn", 0.4)])
+    def test_no_leading_term_without_negative_tail(self, name, params, variant, nu):
+        # f has no declared tail on the negative axis, so the full-line
+        # transform over (-inf, inf) does not exist: refuse its leading term too
+        f = fm.builtin(name, **params)
+        spec = hb.TransformSpec(variant, 1e-3, nu)
+        with pytest.raises(TailNotIntegrable):
+            hb.evaluate_transform(spec, f)
+        with pytest.raises(TailNotIntegrable):
+            hb.small_omega_asymptotic(spec, f)
+
+    @pytest.mark.parametrize("variant,nu,f", [
+        ("full_line_branch", 0.3, fm.builtin("gaussian", a=1.0)),
+        ("full_line_branch", 0.7, fm.builtin("exp_osc", a=1.0)),
+        ("full_line_abs", 0.5, fm.builtin("gaussian", a=1.0)),
+        ("full_line_abs_sgn", 0.3, fm.builtin("power_gaussian", m=1, a=1.0)),
+    ])
+    def test_negative_probe_omega(self, variant, nu, f):
+        # the singular term's sign and branch at omega < 0 carry into the
+        # leading term, which then matches the transform on the negative side
+        lead = hb.small_omega_asymptotic(hb.TransformSpec(variant, -1e-3, nu), f)
+        errs = []
+        for w in (-1e-2, -1e-3, -1e-4):
+            val = hb.evaluate_transform(hb.TransformSpec(variant, w, nu), f).value
+            errs.append(abs(val / lead.evaluate(w) - 1.0))
+        assert errs[0] > errs[1] > errs[2], errs
+        assert errs[2] <= 0.1, errs
