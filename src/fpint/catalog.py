@@ -5,6 +5,14 @@ entries (D.1-D.25).  Every entry carries a closed form over the special-function
 layer, the theorem route that reproduces it, and an independent oracle; the
 verification harness cross-checks the triple on deterministic parameter samples
 and serializes the outcome to JSON/CSV.
+
+A C row (`_c_item`) gives id, description, domain, variant, family, closed
+form, builtin, sample space, omega cap (omega samples 0.3/0.55/0.8 of it) and
+linked D items.  f's parameters are the space's keys other than `nu`; nu is a
+parameter exactly when the space has `nu`; the sampler's seed offset is the
+item number; the tolerance is AIRY_TOL for the "airy" family.  A D row is a
+`dtable.DItem` (builtin, kernel, space; seed offset 100 + row index) linked
+back from the C rows.  `kind` is "finite_part" exactly for the D items.
 """
 
 from __future__ import annotations
@@ -26,13 +34,12 @@ from . import specfun as sf
 from .errors import FpintError, UnknownItem
 from .finitepart import FpKernel, fp_epsilon_oracle, fp_infinite, fp_quartic
 from .funcmodel import builtin, quartic_rho0
-from .precision import PrecisionConfig, default_precision, sum_series
-from .pvoracle import QuadratureBudget, pv_transform
+from .precision import PrecisionConfig, sum_series
+from .pvoracle import pv_transform
 
 SERIES_MAX_TERMS = 50_000
 DEFAULT_TOL = 1e-6
 AIRY_TOL = 1e-5
-AIRY_ITEMS = {"C.25", "C.26", "C.27", "C.28", "C.29", "C.30"}
 SAMPLE_SEED = 20240801
 
 
@@ -220,12 +227,19 @@ def _c17(a, c, omega):
                      + math.exp(a * omega) / (c - omega)) * math.log(omega))
 
 
+def _c18_weight(x, n, mu):
+    """x^n Gamma(n+mu)/n!, in log space once Gamma overflows (n + mu > 171)."""
+    try:
+        return x ** n * math.gamma(n + mu) / math.gamma(n + 1.0)
+    except OverflowError:
+        return math.copysign(math.exp(n * math.log(abs(x)) + math.lgamma(n + mu)
+                                      - math.lgamma(n + 1.0)), x ** n)
+
+
 def _c18(s, mu, omega):
     pref = 1.0 / (s ** mu * math.gamma(mu))
-    s1 = _sum_terms(lambda n: (-omega / s) ** n * math.gamma(n + mu)
-                    / math.gamma(n + 1.0) * sf.digamma(n + 1.0))
-    s2 = _sum_terms(lambda n: (-omega / s) ** n * math.gamma(n + mu)
-                    / math.gamma(n + 1.0) * sf.digamma(n + mu))
+    s1 = _sum_terms(lambda n: _c18_weight(-omega / s, n, mu) * sf.digamma(n + 1.0))
+    s2 = _sum_terms(lambda n: _c18_weight(-omega / s, n, mu) * sf.digamma(n + mu))
     return -pref * s1 + pref * s2 + math.log(omega / s) / (s + omega) ** mu
 
 
@@ -440,7 +454,6 @@ def _c32(a, nu, omega):
 @dataclass(frozen=True)
 class CatalogItem:
     item_id: str
-    kind: str                      # "hilbert" | "finite_part"
     description: str
     domain: str
     kernel: str                    # transform variant, or "finite_part"
@@ -453,8 +466,9 @@ class CatalogItem:
     tolerance: float = DEFAULT_TOL
     notes: str = ""
 
-
-C_ITEMS: dict[str, CatalogItem] = {}
+    @property
+    def kind(self) -> str:
+        return "finite_part" if self.kernel == "finite_part" else "hilbert"
 
 
 def _three_samples(space: dict, integer_params: tuple[str, ...],
@@ -474,205 +488,163 @@ def _three_samples(space: dict, integer_params: tuple[str, ...],
                 val = levels[(i + offsets[name]) % 3]
                 params[name] = int(val) if name in integer_params else float(val)
             if omega_cap is not None:
-                cap = omega_cap(params)
-                params["omega"] = float([0.3, 0.55, 0.8][(i + offsets.get("omega", 0)) % 3] * cap)
+                params["omega"] = float([0.3, 0.55, 0.8][i] * omega_cap(params))
             out.append(params)
         return out
 
     return sampler
 
 
-def _add_c(item_id, description, domain, kernel, family, closed, builtin_name,
-           builtin_args, nu_from, space, omega_cap, linked, tolerance=DEFAULT_TOL,
-           notes="", seed_offset=0):
+def _c_item(item_id, description, domain, kernel, family, closed, builtin_name,
+            space, omega_cap, linked, notes="") -> CatalogItem:
+    """One C row; the derived values are listed in the module docstring."""
+    f_params = tuple(p for p in space if p != "nu")
+
+    def transform(params):
+        f = builtin(builtin_name, **{p: params[p] for p in f_params})
+        return f, (params["nu"] if "nu" in space else 0.0)
+
     def theorem(params):
-        f = builtin(builtin_name, **{k: params[v] for k, v in builtin_args.items()})
-        nu = params[nu_from] if nu_from else 0.0
+        f, nu = transform(params)
         spec = hb.TransformSpec(kernel, params["omega"], nu, math.inf)
         return hb.evaluate_transform(spec, f).value
 
     def oracle(params):
-        f = builtin(builtin_name, **{k: params[v] for k, v in builtin_args.items()})
-        nu = params[nu_from] if nu_from else 0.0
+        f, nu = transform(params)
         return pv_transform(kernel, f, nu, params["omega"], math.inf)
 
-    def closed_wrapped(params):
-        kwargs = {k: params[k] for k in params}
-        return closed(**kwargs)
-
-    C_ITEMS[item_id] = CatalogItem(
-        item_id, "hilbert", description, domain, kernel, family,
-        closed_wrapped, theorem, oracle,
-        _three_samples(space, (), omega_cap, seed_offset),
-        tuple(linked), tolerance, notes)
+    return CatalogItem(
+        item_id, description, domain, kernel, family,
+        lambda params: closed(**params), theorem, oracle,
+        _three_samples(space, (), omega_cap, int(item_id[2:])), linked,
+        AIRY_TOL if family == "airy" else DEFAULT_TOL, notes)
 
 
 _NU_RANGE = (0.2, 0.8)
+C_ITEMS: dict[str, CatalogItem] = {item.item_id: item for item in [
+    _c_item("C.1", "x/(omega^2-x^2) against 1/sqrt(x^2+a^2)", "a>0, 0<omega<a", "sym_x",
+            "sqrt", _c1, "sqrt_inv_quad", {"a": (0.8, 2.0)}, lambda p: p["a"],
+            ("D.5",)),
+    _c_item("C.2", "omega/(x^nu(omega^2-x^2)) against 1/sqrt(x^2+a^2)",
+            "a>0, 0<nu<1, 0<omega<a", "sym_omega", "sqrt", _c2, "sqrt_inv_quad",
+            {"a": (0.8, 2.0), "nu": _NU_RANGE}, lambda p: p["a"], ("D.6",)),
+    _c_item("C.3", "x^(1-nu)/(omega^2-x^2) against 1/sqrt(x^2+a^2)",
+            "a>0, 0<nu<1, 0<omega<a", "sym_x", "sqrt", _c3, "sqrt_inv_quad",
+            {"a": (0.8, 2.0), "nu": _NU_RANGE}, lambda p: p["a"], ("D.6",)),
+    _c_item("C.4", "full-line x^-nu branch kernel against 1/sqrt(x^2+a^2)",
+            "a>0, 0<nu<1, 0<omega<a", "full_line_branch", "sqrt", _c4, "sqrt_inv_quad",
+            {"a": (0.8, 2.0), "nu": _NU_RANGE}, lambda p: p["a"], ("D.6",)),
+    _c_item("C.5", "omega/(omega^2-x^2) against J0(ax)^2", "a>0, omega>0", "sym_omega",
+            "bessel_j0", _c5, "j0_squared", {"a": (0.6, 1.6)}, lambda p: 1.0, ("D.3",)),
+    _c_item("C.6", "x/(omega^2-x^2) against J0(ax)^2", "a>0, omega>0", "sym_x",
+            "bessel_j0", _c6, "j0_squared", {"a": (0.6, 1.6)}, lambda p: 1.0, ("D.4",)),
+    _c_item("C.7", "omega/(x^nu(omega^2-x^2)) against J0(ax)^2", "a>0, 0<nu<1, omega>0",
+            "sym_omega", "bessel_j0", _c7, "j0_squared",
+            {"a": (0.6, 1.6), "nu": _NU_RANGE}, lambda p: 1.0, ("D.3",)),
+    _c_item("C.8", "x^(1-nu)/(omega^2-x^2) against J0(ax)^2", "a>0, 0<nu<1, omega>0",
+            "sym_x", "bessel_j0", _c8, "j0_squared", {"a": (0.6, 1.6), "nu": _NU_RANGE},
+            lambda p: 1.0, ("D.3",)),
+    _c_item("C.9", "full-line x^-nu branch kernel against J0(ax)^2",
+            "a>0, 0<nu<1, omega>0", "full_line_branch", "bessel_j0", _c9, "j0_squared",
+            {"a": (0.6, 1.6), "nu": _NU_RANGE}, lambda p: 1.0, ("D.3",)),
+    _c_item("C.10", "omega/(x^nu(omega^2-x^2)) against exp(-ax)",
+            "a>0, 0<nu<1, omega>0", "sym_omega", "exp", _c10, "exp_decay",
+            {"a": (0.6, 1.8), "nu": _NU_RANGE}, lambda p: 1.0, ("D.1",)),
+    _c_item("C.11", "x^(1-nu)/(omega^2-x^2) against exp(-ax)", "a>0, 0<nu<1, omega>0",
+            "sym_x", "exp", _c11, "exp_decay", {"a": (0.6, 1.8), "nu": _NU_RANGE},
+            lambda p: 1.0, ("D.1",)),
+    _c_item("C.12", "full-line |x|^-nu kernel against exp(iax)", "a>0, 0<nu<1, omega>0",
+            "full_line_abs", "exp_osc", _c12, "exp_osc",
+            {"a": (0.6, 1.8), "nu": _NU_RANGE}, lambda p: 1.0, ("D.2",)),
+    _c_item("C.13", "full-line sgn(x)|x|^-nu kernel against exp(iax)",
+            "a>0, 0<nu<1, omega>0", "full_line_abs_sgn", "exp_osc", _c13, "exp_osc",
+            {"a": (0.6, 1.8), "nu": _NU_RANGE}, lambda p: 1.0, ("D.2",)),
+    _c_item("C.14", "omega/(x^nu(omega^2-x^2)) against exp(-ax)/(x+c)",
+            "a>0, c>0, 0<nu<1, 0<omega<c", "sym_omega", "exp_shift", _c14,
+            "exp_decay_shift", {"a": (0.5, 1.5), "c": (0.8, 1.8), "nu": _NU_RANGE},
+            lambda p: p["c"], ("D.8",)),
+    _c_item("C.15", "x^(1-nu)/(omega^2-x^2) against exp(-ax)/(x+c)",
+            "a>0, c>0, 0<nu<1, 0<omega<c", "sym_x", "exp_shift", _c15,
+            "exp_decay_shift", {"a": (0.5, 1.5), "c": (0.8, 1.8), "nu": _NU_RANGE},
+            lambda p: p["c"], ("D.8",)),
+    _c_item("C.16", "omega/(omega^2-x^2) against exp(-ax)/(x+c)", "a>0, c>0, 0<omega<c",
+            "sym_omega", "exp_shift", _c16, "exp_decay_shift",
+            {"a": (0.5, 1.5), "c": (0.8, 1.8)}, lambda p: p["c"], ("D.9",)),
+    _c_item("C.17", "x/(omega^2-x^2) against exp(-ax)/(x+c)", "a>0, c>0, 0<omega<c",
+            "sym_x", "exp_shift", _c17, "exp_decay_shift",
+            {"a": (0.5, 1.5), "c": (0.8, 1.8)}, lambda p: p["c"], ("D.9",)),
+    _c_item("C.18", "1/(omega-x) against (s+x)^-mu", "s>0, mu>0, 0<omega<s",
+            "one_sided", "power_shift", _c18, "inv_power_shift",
+            {"s": (0.8, 1.8), "mu": (0.6, 2.2)}, lambda p: p["s"], ("D.10",)),
+    _c_item("C.19", "1/(x^nu(omega-x)) against (s+x)^-mu",
+            "s>0, mu>0, 0<nu<1, 0<omega<s", "one_sided", "power_shift", _c19,
+            "inv_power_shift", {"s": (0.8, 1.8), "mu": (0.6, 2.2), "nu": _NU_RANGE},
+            lambda p: p["s"], ("D.11",)),
+    _c_item("C.20", "omega/(x^nu(omega^2-x^2)) against (s+x)^-mu",
+            "s>0, mu>0, s!=omega, 0<nu<1", "sym_omega", "power_shift", _c20,
+            "inv_power_shift", {"s": (0.8, 1.8), "mu": (0.6, 2.2), "nu": _NU_RANGE},
+            lambda p: p["s"], ("D.11",)),
+    _c_item("C.21", "x^(1-nu)/(omega^2-x^2) against (s+x)^-mu",
+            "s>0, mu>0, s!=omega, 0<nu<1", "sym_x", "power_shift", _c21,
+            "inv_power_shift", {"s": (0.8, 1.8), "mu": (0.6, 2.2), "nu": _NU_RANGE},
+            lambda p: p["s"], ("D.11",)),
+    _c_item("C.22", "1/(x^nu(omega-x)) against 1/(c^3+x^3)", "c>0, 0<nu<1, 0<omega<c",
+            "one_sided", "cubic", _c22, "inv_cubic", {"c": (0.8, 1.8), "nu": _NU_RANGE},
+            lambda p: p["c"], ("D.7",)),
+    _c_item("C.23", "omega/(x^nu(omega^2-x^2)) against 1/(c^3+x^3)",
+            "c>0, c!=omega, 0<nu<1", "sym_omega", "cubic", _c23, "inv_cubic",
+            {"c": (0.8, 1.8), "nu": _NU_RANGE}, lambda p: p["c"], ("D.7",)),
+    _c_item("C.24", "x^(1-nu)/(omega^2-x^2) against 1/(c^3+x^3)",
+            "c>0, c!=omega, 0<nu<1", "sym_x", "cubic", _c24, "inv_cubic",
+            {"c": (0.8, 1.8), "nu": _NU_RANGE}, lambda p: p["c"], ("D.7",)),
+    _c_item("C.25", "full-line 1/(omega-x) against Ai(ax)", "a>0, omega>0", "full_line",
+            "airy", _c25, "airy", {"a": (0.7, 1.4)}, lambda p: 1.0,
+            ("D.16", "D.17", "D.18", "D.19", "D.20", "D.21")),
+    _c_item("C.26", "1/(omega-x) against Ai(ax)", "a>0, 0<omega<=1", "one_sided",
+            "airy", _c26, "airy", {"a": (0.7, 1.4)}, lambda p: 1.0,
+            ("D.19", "D.20", "D.21"), notes="omega restricted to (0, 1]"),
+    _c_item("C.27", "1/(x^nu(omega-x)) against Ai(ax)", "a>0, 0<nu<1, omega>0",
+            "one_sided", "airy", _c27, "airy", {"a": (0.7, 1.4), "nu": _NU_RANGE},
+            lambda p: 1.0, ("D.22",)),
+    _c_item("C.28", "full-line x^-nu branch kernel against Ai(ax)",
+            "a>0, 0<nu<1, omega>0", "full_line_branch", "airy", _c28, "airy",
+            {"a": (0.7, 1.4), "nu": _NU_RANGE}, lambda p: 1.0, ("D.22", "D.23")),
+    _c_item("C.29", "1/(omega-x) against Ai(ax)Ai'(ax)", "a>0, 0<omega<=1", "one_sided",
+            "airy", _c29, "airy_prod", {"a": (0.7, 1.4)}, lambda p: 1.0, ("D.24",),
+            notes="omega restricted to (0, 1]"),
+    _c_item("C.30", "1/(x^nu(omega-x)) against Ai(ax)Ai'(ax)", "a>0, 0<nu<1, omega>0",
+            "one_sided", "airy", _c30, "airy_prod", {"a": (0.7, 1.4), "nu": _NU_RANGE},
+            lambda p: 1.0, ("D.25",)),
+    _c_item("C.31", "1/(omega-x) against 1/(exp(ax)+1)", "a>0, 0<omega<pi/a",
+            "one_sided", "fermi", _c31, "fermi", {"a": (0.7, 1.5)},
+            lambda p: math.pi / p["a"], ("D.13", "D.14", "D.15")),
+    _c_item("C.32", "1/(x^nu(omega-x)) against 1/(exp(ax)+1)",
+            "a>0, 0<nu<1, 0<omega<pi/a", "one_sided", "fermi", _c32, "fermi",
+            {"a": (0.7, 1.5), "nu": _NU_RANGE}, lambda p: math.pi / p["a"], ("D.12",)),
+]}
 
 
-def _build_c_items() -> None:
-    _add_c("C.1", "x/(omega^2-x^2) against 1/sqrt(x^2+a^2)", "a>0, 0<omega<a",
-           "sym_x", "sqrt", _c1, "sqrt_inv_quad", {"a": "a"}, None,
-           {"a": (0.8, 2.0)}, lambda p: p["a"], ("D.5",), seed_offset=1)
-    _add_c("C.2", "omega/(x^nu(omega^2-x^2)) against 1/sqrt(x^2+a^2)",
-           "a>0, 0<nu<1, 0<omega<a", "sym_omega", "sqrt", _c2, "sqrt_inv_quad",
-           {"a": "a"}, "nu", {"a": (0.8, 2.0), "nu": _NU_RANGE},
-           lambda p: p["a"], ("D.6",), seed_offset=2)
-    _add_c("C.3", "x^(1-nu)/(omega^2-x^2) against 1/sqrt(x^2+a^2)",
-           "a>0, 0<nu<1, 0<omega<a", "sym_x", "sqrt", _c3, "sqrt_inv_quad",
-           {"a": "a"}, "nu", {"a": (0.8, 2.0), "nu": _NU_RANGE},
-           lambda p: p["a"], ("D.6",), seed_offset=3)
-    _add_c("C.4", "full-line x^-nu branch kernel against 1/sqrt(x^2+a^2)",
-           "a>0, 0<nu<1, 0<omega<a", "full_line_branch", "sqrt", _c4,
-           "sqrt_inv_quad", {"a": "a"}, "nu", {"a": (0.8, 2.0), "nu": _NU_RANGE},
-           lambda p: p["a"], ("D.6",), seed_offset=4)
-    _add_c("C.5", "omega/(omega^2-x^2) against J0(ax)^2", "a>0, omega>0",
-           "sym_omega", "bessel_j0", _c5, "j0_squared", {"a": "a"}, None,
-           {"a": (0.6, 1.6)}, lambda p: 1.0, ("D.3",), seed_offset=5)
-    _add_c("C.6", "x/(omega^2-x^2) against J0(ax)^2", "a>0, omega>0",
-           "sym_x", "bessel_j0", _c6, "j0_squared", {"a": "a"}, None,
-           {"a": (0.6, 1.6)}, lambda p: 1.0, ("D.4",), seed_offset=6)
-    _add_c("C.7", "omega/(x^nu(omega^2-x^2)) against J0(ax)^2",
-           "a>0, 0<nu<1, omega>0", "sym_omega", "bessel_j0", _c7, "j0_squared",
-           {"a": "a"}, "nu", {"a": (0.6, 1.6), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.3",), seed_offset=7)
-    _add_c("C.8", "x^(1-nu)/(omega^2-x^2) against J0(ax)^2",
-           "a>0, 0<nu<1, omega>0", "sym_x", "bessel_j0", _c8, "j0_squared",
-           {"a": "a"}, "nu", {"a": (0.6, 1.6), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.3",), seed_offset=8)
-    _add_c("C.9", "full-line x^-nu branch kernel against J0(ax)^2",
-           "a>0, 0<nu<1, omega>0", "full_line_branch", "bessel_j0", _c9,
-           "j0_squared", {"a": "a"}, "nu", {"a": (0.6, 1.6), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.3",), seed_offset=9)
-    _add_c("C.10", "omega/(x^nu(omega^2-x^2)) against exp(-ax)",
-           "a>0, 0<nu<1, omega>0", "sym_omega", "exp", _c10, "exp_decay",
-           {"a": "a"}, "nu", {"a": (0.6, 1.8), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.1",), seed_offset=10)
-    _add_c("C.11", "x^(1-nu)/(omega^2-x^2) against exp(-ax)",
-           "a>0, 0<nu<1, omega>0", "sym_x", "exp", _c11, "exp_decay",
-           {"a": "a"}, "nu", {"a": (0.6, 1.8), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.1",), seed_offset=11)
-    _add_c("C.12", "full-line |x|^-nu kernel against exp(iax)",
-           "a>0, 0<nu<1, omega>0", "full_line_abs", "exp_osc", _c12, "exp_osc",
-           {"a": "a"}, "nu", {"a": (0.6, 1.8), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.2",), seed_offset=12)
-    _add_c("C.13", "full-line sgn(x)|x|^-nu kernel against exp(iax)",
-           "a>0, 0<nu<1, omega>0", "full_line_abs_sgn", "exp_osc", _c13,
-           "exp_osc", {"a": "a"}, "nu", {"a": (0.6, 1.8), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.2",), seed_offset=13)
-    _add_c("C.14", "omega/(x^nu(omega^2-x^2)) against exp(-ax)/(x+c)",
-           "a>0, c>0, 0<nu<1, 0<omega<c", "sym_omega", "exp_shift", _c14,
-           "exp_decay_shift", {"a": "a", "c": "c"}, "nu",
-           {"a": (0.5, 1.5), "c": (0.8, 1.8), "nu": _NU_RANGE},
-           lambda p: p["c"], ("D.8",), seed_offset=14)
-    _add_c("C.15", "x^(1-nu)/(omega^2-x^2) against exp(-ax)/(x+c)",
-           "a>0, c>0, 0<nu<1, 0<omega<c", "sym_x", "exp_shift", _c15,
-           "exp_decay_shift", {"a": "a", "c": "c"}, "nu",
-           {"a": (0.5, 1.5), "c": (0.8, 1.8), "nu": _NU_RANGE},
-           lambda p: p["c"], ("D.8",), seed_offset=15)
-    _add_c("C.16", "omega/(omega^2-x^2) against exp(-ax)/(x+c)",
-           "a>0, c>0, 0<omega<c", "sym_omega", "exp_shift", _c16,
-           "exp_decay_shift", {"a": "a", "c": "c"}, None,
-           {"a": (0.5, 1.5), "c": (0.8, 1.8)}, lambda p: p["c"],
-           ("D.9",), seed_offset=16)
-    _add_c("C.17", "x/(omega^2-x^2) against exp(-ax)/(x+c)",
-           "a>0, c>0, 0<omega<c", "sym_x", "exp_shift", _c17,
-           "exp_decay_shift", {"a": "a", "c": "c"}, None,
-           {"a": (0.5, 1.5), "c": (0.8, 1.8)}, lambda p: p["c"],
-           ("D.9",), seed_offset=17)
-    _add_c("C.18", "1/(omega-x) against (s+x)^-mu", "s>0, mu>0, 0<omega<s",
-           "one_sided", "power_shift", _c18, "inv_power_shift",
-           {"s": "s", "mu": "mu"}, None, {"s": (0.8, 1.8), "mu": (0.6, 2.2)},
-           lambda p: p["s"], ("D.10",), seed_offset=18)
-    _add_c("C.19", "1/(x^nu(omega-x)) against (s+x)^-mu",
-           "s>0, mu>0, 0<nu<1, 0<omega<s", "one_sided", "power_shift", _c19,
-           "inv_power_shift", {"s": "s", "mu": "mu"}, "nu",
-           {"s": (0.8, 1.8), "mu": (0.6, 2.2), "nu": _NU_RANGE},
-           lambda p: p["s"], ("D.11",), seed_offset=19)
-    _add_c("C.20", "omega/(x^nu(omega^2-x^2)) against (s+x)^-mu",
-           "s>0, mu>0, s!=omega, 0<nu<1", "sym_omega", "power_shift", _c20,
-           "inv_power_shift", {"s": "s", "mu": "mu"}, "nu",
-           {"s": (0.8, 1.8), "mu": (0.6, 2.2), "nu": _NU_RANGE},
-           lambda p: p["s"], ("D.11",), seed_offset=20)
-    _add_c("C.21", "x^(1-nu)/(omega^2-x^2) against (s+x)^-mu",
-           "s>0, mu>0, s!=omega, 0<nu<1", "sym_x", "power_shift", _c21,
-           "inv_power_shift", {"s": "s", "mu": "mu"}, "nu",
-           {"s": (0.8, 1.8), "mu": (0.6, 2.2), "nu": _NU_RANGE},
-           lambda p: p["s"], ("D.11",), seed_offset=21)
-    _add_c("C.22", "1/(x^nu(omega-x)) against 1/(c^3+x^3)",
-           "c>0, 0<nu<1, 0<omega<c", "one_sided", "cubic", _c22, "inv_cubic",
-           {"c": "c"}, "nu", {"c": (0.8, 1.8), "nu": _NU_RANGE},
-           lambda p: p["c"], ("D.7",), seed_offset=22)
-    _add_c("C.23", "omega/(x^nu(omega^2-x^2)) against 1/(c^3+x^3)",
-           "c>0, c!=omega, 0<nu<1", "sym_omega", "cubic", _c23, "inv_cubic",
-           {"c": "c"}, "nu", {"c": (0.8, 1.8), "nu": _NU_RANGE},
-           lambda p: p["c"], ("D.7",), seed_offset=23)
-    _add_c("C.24", "x^(1-nu)/(omega^2-x^2) against 1/(c^3+x^3)",
-           "c>0, c!=omega, 0<nu<1", "sym_x", "cubic", _c24, "inv_cubic",
-           {"c": "c"}, "nu", {"c": (0.8, 1.8), "nu": _NU_RANGE},
-           lambda p: p["c"], ("D.7",), seed_offset=24)
-    _add_c("C.25", "full-line 1/(omega-x) against Ai(ax)", "a>0, omega>0",
-           "full_line", "airy", _c25, "airy", {"a": "a"}, None,
-           {"a": (0.7, 1.4)}, lambda p: 1.0,
-           ("D.16", "D.17", "D.18", "D.19", "D.20", "D.21"),
-           tolerance=AIRY_TOL, seed_offset=25)
-    _add_c("C.26", "1/(omega-x) against Ai(ax)", "a>0, 0<omega<=1",
-           "one_sided", "airy", _c26, "airy", {"a": "a"}, None,
-           {"a": (0.7, 1.4)}, lambda p: 1.0, ("D.19", "D.20", "D.21"),
-           tolerance=AIRY_TOL, notes="omega restricted to (0, 1]", seed_offset=26)
-    _add_c("C.27", "1/(x^nu(omega-x)) against Ai(ax)", "a>0, 0<nu<1, omega>0",
-           "one_sided", "airy", _c27, "airy", {"a": "a"}, "nu",
-           {"a": (0.7, 1.4), "nu": _NU_RANGE}, lambda p: 1.0, ("D.22",),
-           tolerance=AIRY_TOL, seed_offset=27)
-    _add_c("C.28", "full-line x^-nu branch kernel against Ai(ax)",
-           "a>0, 0<nu<1, omega>0", "full_line_branch", "airy", _c28, "airy",
-           {"a": "a"}, "nu", {"a": (0.7, 1.4), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.22", "D.23"), tolerance=AIRY_TOL, seed_offset=28)
-    _add_c("C.29", "1/(omega-x) against Ai(ax)Ai'(ax)", "a>0, 0<omega<=1",
-           "one_sided", "airy", _c29, "airy_prod", {"a": "a"}, None,
-           {"a": (0.7, 1.4)}, lambda p: 1.0, ("D.24",),
-           tolerance=AIRY_TOL, notes="omega restricted to (0, 1]", seed_offset=29)
-    _add_c("C.30", "1/(x^nu(omega-x)) against Ai(ax)Ai'(ax)",
-           "a>0, 0<nu<1, omega>0", "one_sided", "airy", _c30, "airy_prod",
-           {"a": "a"}, "nu", {"a": (0.7, 1.4), "nu": _NU_RANGE},
-           lambda p: 1.0, ("D.25",), tolerance=AIRY_TOL, seed_offset=30)
-    _add_c("C.31", "1/(omega-x) against 1/(exp(ax)+1)", "a>0, 0<omega<pi/a",
-           "one_sided", "fermi", _c31, "fermi", {"a": "a"}, None,
-           {"a": (0.7, 1.5)}, lambda p: math.pi / p["a"],
-           ("D.13", "D.14", "D.15"), seed_offset=31)
-    _add_c("C.32", "1/(x^nu(omega-x)) against 1/(exp(ax)+1)",
-           "a>0, 0<nu<1, 0<omega<pi/a", "one_sided", "fermi", _c32, "fermi",
-           {"a": "a"}, "nu", {"a": (0.7, 1.5), "nu": _NU_RANGE},
-           lambda p: math.pi / p["a"], ("D.12",), seed_offset=32)
+def _d_item(position: int, row: dtable.DItem) -> CatalogItem:
+    """One D row: f, its FpKernel and the samples come from the dtable row."""
+
+    def integral(params):
+        f = builtin(row.builtin, **{p: params[p] for p in row.builtin_params})
+        return f, FpKernel(*row.kernel(params), math.inf)
+
+    def oracle(params):
+        f, kernel = integral(params)
+        return fp_epsilon_oracle(f.evaluate, kernel, tail=f.tail).value
+
+    return CatalogItem(
+        row.item_id, row.description, row.domain, "finite_part", row.builtin,
+        lambda params: row.evaluate(**params),
+        lambda params: fp_infinite(*integral(params)).value, oracle,
+        _three_samples(row.sample_space, row.integer_params, None, 100 + position),
+        tuple(c.item_id for c in C_ITEMS.values() if row.item_id in c.linked_fp_items))
 
 
-D_CATALOG: dict[str, CatalogItem] = {}
-
-
-def _build_d_items() -> None:
-    for item_id, entry in dtable.D_ITEMS.items():
-        def integral(params, _e=entry):
-            f = builtin(_e.builtin, **{p: params[p] for p in _e.builtin_params})
-            return f, FpKernel(*_e.kernel(params), math.inf)
-
-        def oracle(params, _integral=integral):
-            f, kernel = _integral(params)
-            return fp_epsilon_oracle(f.evaluate, kernel, tail=f.tail).value
-
-        linked = tuple(c.item_id for c in C_ITEMS.values() if item_id in c.linked_fp_items)
-        D_CATALOG[item_id] = CatalogItem(
-            item_id, "finite_part", entry.description, entry.domain,
-            "finite_part", entry.builtin,
-            lambda params, _e=entry: _e.evaluate(**params),
-            lambda params, _integral=integral: fp_infinite(*_integral(params)).value,
-            oracle,
-            _three_samples(entry.sample_space, entry.integer_params, None,
-                           seed_offset=100 + len(D_CATALOG)),
-            linked, DEFAULT_TOL)
-
-
-_build_c_items()
-_build_d_items()
+D_CATALOG: dict[str, CatalogItem] = {
+    row.item_id: _d_item(i, row) for i, row in enumerate(dtable.D_ITEMS.values())}
 
 ALL_ITEMS: dict[str, CatalogItem] = {**C_ITEMS, **D_CATALOG}
 
@@ -694,22 +666,14 @@ def eval_closed_form(item_id: str, params: dict, omega: float | None = None) -> 
 
 def list_items(kernel: str | None = None, function: str | None = None,
                kind: str | None = None) -> list[dict]:
-    out = []
-    for item in ALL_ITEMS.values():
-        if kernel and item.kernel != kernel:
-            continue
-        if function and function.lower() not in item.function_family.lower():
-            continue
-        if kind and item.kind != kind:
-            continue
-        out.append({"id": item.item_id, "kind": item.kind, "kernel": item.kernel,
-                    "function": item.function_family, "description": item.description,
-                    "domain": item.domain,
-                    "linked_fp_items": list(item.linked_fp_items)})
-    def sort_key(row):
-        prefix, num = row["id"].split(".")
-        return (prefix, int(num))
-    return sorted(out, key=sort_key)
+    """The matching items in ALL_ITEMS order: C.1-C.32, then D.1-D.25."""
+    return [{"id": item.item_id, "kind": item.kind, "kernel": item.kernel,
+             "function": item.function_family, "description": item.description,
+             "domain": item.domain, "linked_fp_items": list(item.linked_fp_items)}
+            for item in ALL_ITEMS.values()
+            if (not kernel or item.kernel == kernel)
+            and (not function or function.lower() in item.function_family.lower())
+            and (not kind or item.kind == kind)]
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +734,7 @@ def verify_item(item_id: str, tolerance: float | None = None,
             res.oracle = complex(item.oracle(params))
             res.max_pairwise_rel = _pairwise_rel([res.closed, res.theorem, res.oracle])
             res.passed = res.max_pairwise_rel <= tol
-        except FpintError as exc:
-            res.error = f"{type(exc).__name__}: {exc}"
-        except (ValueError, ArithmeticError) as exc:
+        except (FpintError, ValueError, ArithmeticError) as exc:
             res.error = f"{type(exc).__name__}: {exc}"
         report.samples.append(res)
     report.runtime = time.time() - t0

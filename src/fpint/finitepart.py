@@ -256,25 +256,21 @@ def fp_catalog(item_id: str, **params) -> complex:
 
 
 def fp_epsilon_oracle(f_eval, kernel: FpKernel,
-                      precision: PrecisionConfig | None = None,
                       budget: QuadratureBudget | None = None,
-                      tail: TailDecay | None = None,
-                      split: float = 1.0,
-                      eps0: float | None = None,
-                      n_eps: int = EPS_GRID_LEN) -> FpValue:
+                      tail: TailDecay | None = None) -> FpValue:
     """Numeric finite part from I(eps) = int_eps^a f x^-(k+nu) dx.
 
     I(eps) is fitted to c0 + sum_j b_j eps^-(k+nu-j) (+ b_log ln eps when
     nu = 0) over a geometric eps grid by weighted least squares; c0 is the
     finite part.  Uses only point values of f - independent of the Maclaurin
-    routes it cross-checks.  Infinite upper limits split at `split` (the
-    divergence lives at 0) and need a declared tail.
+    routes it cross-checks.  An infinite upper limit is split at 1 (the
+    divergence lives at 0) and needs a declared tail.  The grid is
+    eps_j = a 2^-(j+1), with a the finite (or split) upper limit.
 
     The fitted exponent set is the kernel ladder k+nu-1-j continued below
     zero: the vanishing remainder powers are kernel-known too, and dropping
     them contaminates c0 at the coarse end of the grid.
     """
-    precision = precision or default_precision()
     budget = budget or QuadratureBudget()
     k, nu = kernel.k, kernel.nu
     e = kernel.exponent
@@ -283,7 +279,7 @@ def fp_epsilon_oracle(f_eval, kernel: FpKernel,
     if not math.isfinite(a):
         if tail is None:
             raise TailNotIntegrable("infinite upper limit requires a declared tail")
-        a = split
+        a = 1.0
 
         def tail_integrand(x: np.ndarray):
             return np.asarray(f_eval(x)) * x ** (-e)
@@ -297,10 +293,8 @@ def fp_epsilon_oracle(f_eval, kernel: FpKernel,
             powers.append(p)
         p -= 1.0
     n_cols = 1 + len(powers) + (1 if nu == 0.0 else 0)
-    n_eps = max(n_eps, n_cols + 5)
-
-    eps0 = eps0 if eps0 is not None else a / 2.0
-    eps = np.array([eps0 * 2.0 ** (-j) for j in range(n_eps)])
+    n_eps = max(EPS_GRID_LEN, n_cols + 5)
+    eps = np.array([a / 2.0 * 2.0 ** (-j) for j in range(n_eps)])
 
     inner = QuadratureBudget(abs_tol=1e-14, rel_tol=5e-15,
                              max_subdivisions=budget.max_subdivisions)

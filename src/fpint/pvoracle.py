@@ -328,36 +328,21 @@ def pv_quadratic(h, omega: float, hi: float, weight: str, nu: float,
     The x = omega pole is subtracted through phi(x) = W h x^-nu / (omega + x);
     the x = 0 endpoint carries the integrable x^-nu (or x^{1-nu}) weight.
     """
-    budget = budget or QuadratureBudget()
     if weight not in ("omega_over", "x_over"):
         raise DomainError("weight must be 'omega_over' or 'x_over'")
     if not 0.0 <= nu < 1.0:
         raise DomainError("nu must lie in [0, 1)")
-    if not (0.0 < omega < (hi if hi != math.inf else math.inf)):
+    if not 0.0 < omega < hi:
         raise DomainError("omega must lie inside (0, hi)")
 
     def phi(x: np.ndarray):
         w = omega if weight == "omega_over" else x
         return w * h(x) * x ** (-nu) / (omega + x)
 
-    d = 0.5 * min(omega, (hi - omega) if hi != math.inf else 1.0, 1.0)
-    out = _pv_core(phi, omega, d, budget)
-
-    def kern(x: np.ndarray):
-        return phi(x) / (omega - x)
-
     eff_nu = nu if weight == "omega_over" else max(nu - 1.0, 0.0)
-    out += quad_power_endpoint(kern, 0.0, omega - d, eff_nu, budget)
-    if hi == math.inf:
-        split = omega + max(1.0, omega)
-        out += adaptive_quad(kern, omega + d, split, budget)
-        if tail is None:
-            raise TailNotIntegrable("hi = inf requires a tail declaration for h")
-        extra = 2.0 + nu if weight == "omega_over" else 1.0 + nu
-        out += tail_integral(kern, split, tail, budget, extra_power=extra)
-    else:
-        out += adaptive_quad(kern, omega + d, hi, budget)
-    return out
+    extra = 2.0 + nu if weight == "omega_over" else 1.0 + nu
+    return pv_linear(phi, omega, 0.0, hi, budget, tail,
+                     endpoint_nu=eff_nu, tail_extra_power=extra)
 
 
 # ---------------------------------------------------------------------------

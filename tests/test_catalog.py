@@ -110,3 +110,44 @@ def test_plasma_identity_spot():
     lhs = cat.plasma_pv_series(beta, wj, fj, gj, w)
     rhs = -math.pi * cat.plasma_re_part(beta, wj, fj, gj, w)
     assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+
+
+def test_sampler_values_pinned():
+    # the seed offset is the item number (C) or 100 + row index (D); nu, the
+    # D.3 `lam` index and the index-free D.13 row all draw from the same rng
+    want = {
+        "C.1": [{"a": 2.0, "omega": 0.6}, {"a": 0.8, "omega": 0.44000000000000006},
+                {"a": 1.4, "omega": 1.1199999999999999}],
+        "C.16": [{"a": 1.0, "c": 1.8, "omega": 0.54},
+                 {"a": 1.5, "c": 0.8, "omega": 0.44000000000000006},
+                 {"a": 0.5, "c": 1.3, "omega": 1.04}],
+        "C.19": [{"s": 0.8, "mu": 2.2, "nu": 0.5, "omega": 0.24},
+                 {"s": 1.3, "mu": 0.6, "nu": 0.8, "omega": 0.7150000000000001},
+                 {"s": 1.8, "mu": 1.4000000000000001, "nu": 0.2,
+                  "omega": 1.4400000000000002}],
+        "C.31": [{"a": 1.5, "omega": 0.6283185307179585},
+                 {"a": 0.7, "omega": 2.4683942278205517},
+                 {"a": 1.1, "omega": 2.284794657156213}],
+        "D.3": [{"a": 1.25, "lam": 1.9500000000000002}, {"a": 2.0, "lam": 2.6},
+                {"a": 0.5, "lam": 1.3}],
+        "D.13": [{"a": 1.5}, {"a": 2.5}, {"a": 0.5}],
+    }
+    for item_id, samples in want.items():
+        assert cat.get_item(item_id).sampler(cat.SAMPLE_SEED) == samples, item_id
+
+
+def test_derived_kind_and_tolerance():
+    # the airy-family tolerance belongs to the C rows only; D.19-D.22 also
+    # integrate Ai but keep the default
+    airy = {i for i, item in cat.ALL_ITEMS.items() if item.tolerance == cat.AIRY_TOL}
+    assert airy == {"C.25", "C.26", "C.27", "C.28", "C.29", "C.30"}
+    assert cat.D_CATALOG["D.19"].function_family == "airy"
+    for item_id, item in cat.ALL_ITEMS.items():
+        assert item.kind == ("finite_part" if item_id.startswith("D") else "hilbert")
+
+
+def test_c18_past_gamma_overflow():
+    # at omega/s = 0.8 the series runs past n + mu = 171, where math.gamma
+    # overflows; the closed form then weights its terms in log space
+    rep = cat.verify_item("C.18", samples=[{"s": 1.3, "mu": 2.2, "omega": 1.04}])
+    assert rep.passed, [(s.max_pairwise_rel, s.error) for s in rep.samples]
