@@ -19,10 +19,10 @@ from .finitepart import (FpKernel, FpValue, fp_catalog, fp_epsilon_oracle,
 from .funcmodel import (AnalyticFunction, TailDecay, builtin, builtin_names,
                         factor_zero, from_coefficients, linear_combination,
                         quartic_rho0, scaled)
-from .hilbert import (EvalReport, TransformSpec, evaluate_transform, full_line,
-                      full_line_abs, full_line_abs_sgn, full_line_branch,
-                      full_line_sgn, one_sided, small_omega_asymptotic,
-                      stieltjes, sym_omega, sym_x)
+from .hilbert import (EvalReport, TransformSpec, evaluate_grid, evaluate_transform,
+                      full_line, full_line_abs, full_line_abs_sgn,
+                      full_line_branch, full_line_sgn, one_sided,
+                      small_omega_asymptotic, stieltjes, sym_omega, sym_x)
 from .precision import PrecisionConfig, default_precision
 from .pvoracle import (QuadratureBudget, pv_linear, pv_quadratic, pv_transform,
                        regular_integral)

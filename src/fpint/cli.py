@@ -142,9 +142,9 @@ def _cmd_eval_hilbert(args) -> int:
     upper = parse_upper(args.upper)
     rows_json = []
     rows_csv = []
-    for omega in parse_omega(args.omega):
-        spec = hb.TransformSpec(variant, omega, args.nu, upper)
-        rep = hb.evaluate_transform(spec, f, precision=precision)
+    omegas = parse_omega(args.omega)
+    reports = hb.evaluate_grid(variant, f, omegas, args.nu, upper, precision=precision)
+    for omega, rep in zip(omegas, reports):
         rows_json.append({
             "omega": omega, "value": _cx(rep.value),
             "finite_part_sum": _cx(rep.finite_part_sum),

@@ -29,6 +29,12 @@ among the singular term, which for g of zero order n starts at
 omega^(m + n - nu) with (alpha + beta (-1)^n) g_n (or at n + 1 when that
 vanishes), and each arm's first term: omega^(p mod step) times its first
 prefix integral when p >= step, else its k = 0 finite part.
+
+A grid (evaluate_grid) does once what does not depend on omega: factor_zero,
+the arms at unit omega (z = +-1, a row uses z * omega), each finite part (split
+hint: the grid's max |omega|), each prefix integral, and g(+-omega) as arrays.
+Per omega stay the spec checks, the margin, the series sum and its stop rules,
+the cancellation check and the notes.  evaluate_transform is the one-point grid.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceDomain, DomainError, ProvisoViolated
-from .finitepart import resolve_fp, snap_nu
+from .errors import ConvergenceDomain, DomainError, FpintError, ProvisoViolated
+from .finitepart import FpValue, resolve_fp, snap_nu
 from .funcmodel import AnalyticFunction, factor_zero, scaled
 from .precision import PrecisionConfig, default_precision, sum_series
 from .pvoracle import QuadratureBudget, regular_integral
@@ -119,112 +125,109 @@ class _Arm:
     s: float = -1.0
 
 
-def _prefix_integral(g: AnalyticFunction, power: float, a: float,
-                     budget: QuadratureBudget,
-                     combo: Callable[[np.ndarray], np.ndarray] | None = None) -> complex:
-    """int_0^a x^power * (combo, default g)(x) dx; power > -1."""
-    ev = combo if combo is not None else g.evaluate
+def _prefix_integral(arm: _Arm, k: int, nu: float, a: float,
+                     budget: QuadratureBudget) -> complex:
+    """int_0^a h_k(x) x^-(j + step k + nu) dx for a term k < 0 of index <= 0."""
+    g, power = arm.g, -(arm.j + arm.step * k) - nu
 
     def integrand(x: np.ndarray):
-        return x ** power * ev(x)
+        if arm.gneg is None:
+            return x ** power * g.evaluate(x)
+        return x ** power * ((-1.0) ** k * arm.w * g.evaluate(-x) + arm.s * g.evaluate(x))
 
     return regular_integral(integrand, 0.0, a, endpoint_nu=max(0.0, -power),
                             budget=budget, tail=g.tail, tail_extra_power=-power)
 
 
-def _arm_term(arm: _Arm, k: int,
-              fp: Callable[[AnalyticFunction, int], complex]) -> complex:
-    """Term k >= 0 of the arm; fp(h, n) is the finite part of h x^-(n + nu)."""
-    n = arm.j + arm.step * k
-    h = fp(arm.g, n) if arm.gneg is None else \
-        (-1.0) ** k * arm.w * fp(arm.gneg, n) + arm.s * fp(arm.g, n)
-    return complex(arm.c * arm.z ** (arm.p + arm.step * k) * h)
-
-
-def _prefix_terms(arm: _Arm, nu: float, a: float, budget: QuadratureBudget):
+def _prefix_terms(arm: _Arm, omega: float, integral: Callable[[_Arm, int], complex]):
     """Yield the arm's terms of non-positive kernel index (ordinary integrals)."""
-    g = arm.g
     for k in range(-(arm.p // arm.step), 0):
-        combo = None
-        if arm.gneg is not None:
-            def combo(x: np.ndarray, _k=k):
-                return (-1.0) ** _k * arm.w * g.evaluate(-x) + arm.s * g.evaluate(x)
-        yield arm.c * arm.z ** (arm.p + arm.step * k) * _prefix_integral(
-            g, -(arm.j + arm.step * k) - nu, a, budget, combo)
+        yield arm.c * (arm.z * omega) ** (arm.p + arm.step * k) * integral(arm, k)
 
 
 class _Engine:
-    """Series machinery bound to one (f, spec) evaluation."""
+    """Series machinery shared by the rows of one grid: each arm's finite parts
+    and prefix integrals are resolved once, as none depends on omega."""
 
-    def __init__(self, f: AnalyticFunction, spec: TransformSpec,
-                 precision: PrecisionConfig, budget: QuadratureBudget, fp_mode: str):
-        self.spec = spec
-        self.precision = precision
-        self.budget = budget
-        self.use_hook = fp_mode != "generic"
-        self.notes: list[str] = []
-        lim = min(spec.a, f.rho0)
+    def __init__(self, nu: float, a: float, precision: PrecisionConfig | None = None,
+                 budget: QuadratureBudget | None = None, use_hook: bool = True,
+                 scale_hint: float | None = None, bounded_domain: bool = True):
+        self.nu, self.a, self.use_hook, self.scale_hint = nu, a, use_hook, scale_hint
+        self.precision = precision or default_precision()
+        self.budget = budget or QuadratureBudget()
         # entire f on the whole half/full line has no convergence boundary:
         # the omega series is entire, and transient term growth is normal
-        self.bounded_domain = math.isfinite(lim)
-        if self.bounded_domain and abs(spec.omega) > OMEGA_MARGIN * lim:
-            raise ConvergenceDomain(
-                f"|omega| = {abs(spec.omega):g} exceeds {OMEGA_MARGIN:g} * min(a, rho0) "
-                f"= {OMEGA_MARGIN * lim:g}; the series cannot converge reliably there")
-        self._fp_cache: dict[tuple[int, float, float, int], tuple[complex, float]] = {}
-        self._term_cancel = 1.0
+        self.bounded_domain = bounded_domain
+        self._fp_cache: dict[int, list[tuple[complex, float]]] = {}
+        self._prefix_cache: dict[tuple[int, int], complex] = {}
 
-    def fp(self, fn: AnalyticFunction, k: int) -> complex:
-        nu = self.spec.nu
-        key = (k, nu, self.spec.a, id(fn))
-        hit = self._fp_cache.get(key)
-        if hit is None:
-            fpv = resolve_fp(fn, k, nu, self.spec.a, self.precision, self.budget,
-                             use_hook=self.use_hook,
-                             scale_hint=abs(self.spec.omega))
-            hit = (fpv.value, fpv.cancellation)
-            self._fp_cache[key] = hit
-        self._term_cancel = max(self._term_cancel, hit[1])
-        return hit[0]
+    def arm_fp(self, arm: _Arm, k: int) -> tuple[complex, float]:
+        """ffp_0^a h_k(x) x^-(j + step k + nu) dx and the largest cancellation
+        factor of the finite parts it is made of."""
+        cached = self._fp_cache.setdefault(id(arm), [])
+        if k == len(cached):                   # terms come in order of k
+            n = arm.j + arm.step * k
+            if arm.gneg is None:
+                pos = self._resolve(arm.g, n)
+                cached.append((pos.value, max(1.0, pos.cancellation)))
+            else:
+                neg, pos = self._resolve(arm.gneg, n), self._resolve(arm.g, n)
+                cached.append(((-1.0) ** k * arm.w * neg.value + arm.s * pos.value,
+                               max(1.0, neg.cancellation, pos.cancellation)))
+        return cached[k]
 
-    def arm_series(self, arm: _Arm) -> tuple[complex, int, float]:
-        """Sum the arm's series; per-term noise feeds the cancellation check."""
-        noise = 0.0
+    def _resolve(self, fn: AnalyticFunction, n: int) -> FpValue:
+        return resolve_fp(fn, n, self.nu, self.a, self.precision, self.budget,
+                          use_hook=self.use_hook, scale_hint=self.scale_hint)
+
+    def integral(self, arm: _Arm, k: int) -> complex:
+        key = (id(arm), k)
+        if key not in self._prefix_cache:
+            self._prefix_cache[key] = _prefix_integral(arm, k, self.nu, self.a, self.budget)
+        return self._prefix_cache[key]
+
+    def arm_series(self, arm: _Arm, omega: float,
+                   notes: list[str]) -> tuple[complex, int, float]:
+        """Sum the arm's series at omega; per-term noise feeds the cancellation check."""
+        noise, cached, z = 0.0, self._fp_cache.setdefault(id(arm), []), arm.z * omega
 
         def term(k: int) -> complex:
             nonlocal noise
-            self._term_cancel = 1.0
-            t = _arm_term(arm, k, self.fp)
-            noise += abs(t) * self._term_cancel * 1e-16
+            h, cancel = cached[k] if k < len(cached) else self.arm_fp(arm, k)
+            try:
+                t = complex(arm.c * z ** (arm.p + arm.step * k) * h)
+            except OverflowError:
+                raise ConvergenceDomain(f"omega^{arm.p + arm.step * k} overflows binary64 at "
+                                        f"omega = {omega:g} (series term k = {k})") from None
+            noise += abs(t) * cancel * 1e-16
             return t
 
         total, used, tail, peak_term = sum_series(
             term, self.precision.rel_tol, self.precision.max_terms,
             ratio_limit=RATIO_LIMIT if self.bounded_domain else None)
-        self._check_cancellation(peak_term, noise, abs(total))
+        _check_cancellation(peak_term, noise, abs(total), notes)
         return total, used, tail
 
-    def _check_cancellation(self, peak_term: float, noise: float,
-                            total_mag: float) -> None:
-        """Refuse results whose binary64 noise floor swamps the sum.
 
-        Two mechanisms: the omega-series transient can dwarf the converged sum
-        (entire functions at large omega), and generic-route finite parts carry
-        an internal cancellation factor that the omega powers amplify.
-        """
-        scale = max(total_mag, 1e-300)
-        amp = peak_term / scale
-        noise_rel = noise / scale
-        if amp > 1e13 or noise_rel > 1e-3:
-            raise ConvergenceDomain(
-                f"series cancellation (transient/result ~{amp:.1e}, estimated "
-                f"noise/result ~{noise_rel:.1e}): omega too large for reliable "
-                "binary64 summation of this function")
-        if amp > 1e8 or noise_rel > 1e-8:
-            self.notes.append(
-                f"series cancellation ~{max(amp, noise_rel / 1e-16):.0e}; about "
-                f"{max(int(math.log10(max(amp, 1.0))), int(math.log10(max(noise_rel / 1e-16, 1.0))))}"
-                " digits lost")
+def _check_cancellation(peak_term: float, noise: float, total_mag: float,
+                        notes: list[str]) -> None:
+    """Refuse results whose binary64 noise floor swamps the sum.
+
+    Two mechanisms: the omega-series transient can dwarf the converged sum
+    (entire functions at large omega), and generic-route finite parts carry
+    an internal cancellation factor that the omega powers amplify.
+    """
+    scale = max(total_mag, 1e-300)
+    amp = peak_term / scale
+    noise_rel = noise / scale
+    if amp > 1e13 or noise_rel > 1e-3:
+        raise ConvergenceDomain(
+            f"series cancellation (transient/result ~{amp:.1e}, estimated "
+            f"noise/result ~{noise_rel:.1e}): omega too large for reliable "
+            "binary64 summation of this function")
+    if amp > 1e8 or noise_rel > 1e-8:
+        lost = max(amp, noise_rel / 1e-16)
+        notes.append(f"series cancellation ~{lost:.0e}; about {int(math.log10(lost))} digits lost")
 
 
 def _reflected_g(f: AnalyticFunction, m: int, g: AnalyticFunction) -> AnalyticFunction:
@@ -241,13 +244,13 @@ def _reflected_g(f: AnalyticFunction, m: int, g: AnalyticFunction) -> AnalyticFu
 
 
 def _arms(v: str, f: AnalyticFunction, g: AnalyticFunction, m: int,
-          omega: float, nu: float, force_generic_parity: bool,
-          notes: list[str]) -> list[_Arm]:
-    """The series arms of variant v (see the module docstring)."""
+          nu: float, force_generic_parity: bool, notes: list[str]) -> list[_Arm]:
+    """The series arms of variant v at unit omega (z = +-1; see the module
+    docstring); a row at omega uses z * omega."""
     if v == "stieltjes":
-        return [_Arm(1.0, -omega, 0, f)]
+        return [_Arm(1.0, -1.0, 0, f)]
     if v == "one_sided":
-        return [_Arm(-1.0, omega, m, g)]
+        return [_Arm(-1.0, 1.0, m, g)]
     if v in ("sym_omega", "sym_x"):
         # sym_omega keeps the odd powers of omega, sym_x the even ones; the
         # j = 1 arm carries omega^(m + 2k), the j = 2 arm omega^(m + 1 + 2k)
@@ -264,8 +267,8 @@ def _arms(v: str, f: AnalyticFunction, g: AnalyticFunction, m: int,
         # sum_k -s omega^(m+k) ffp [(-1)^k w g(-x) + s g(x)] x^-(k+1+nu)
         s = 1.0 if v in _SGN else -1.0
         w = cmath.exp(-1j * math.pi * nu) if v == "full_line_branch" else 1.0
-        return [_Arm(-s, omega, m, g, gneg=_reflected_g(f, m, g), w=w, s=s)]
-    return [_Arm(c, omega, m + j - 1, g, 2, j)
+        return [_Arm(-s, 1.0, m, g, gneg=_reflected_g(f, m, g), w=w, s=s)]
+    return [_Arm(c, 1.0, m + j - 1, g, 2, j)
             for c, j in ((c_even, 1), (c_odd, 2)) if c != 0.0]
 
 
@@ -301,39 +304,68 @@ def _singular(v: str, g: AnalyticFunction, m: int, omega: float, nu: float,
     return -math.pi / math.tan(0.5 * math.pi * nu), 0.0, False
 
 
-def evaluate_transform(spec: TransformSpec, f: AnalyticFunction,
-                       precision: PrecisionConfig | None = None,
-                       budget: QuadratureBudget | None = None,
-                       fp_mode: str = "auto",
-                       force_generic_parity: bool = False) -> EvalReport:
-    """Evaluate one transform variant from its arms and singular term.
+def evaluate_grid(variant: str, f: AnalyticFunction, omegas, nu: float = 0.0,
+                  a: float = math.inf, precision: PrecisionConfig | None = None,
+                  budget: QuadratureBudget | None = None, fp_mode: str = "auto",
+                  force_generic_parity: bool = False) -> list[EvalReport]:
+    """Evaluate one transform variant at each omega from its arms and singular term.
 
+    Rows come back in input order.  The first omega that fails (invalid, past
+    the margin or refused by its series) raises its error; nothing is returned.
     fp_mode="generic" bypasses the closed-form finite-part hooks;
     force_generic_parity skips the even-g reduction of the full-line kernels.
     """
-    precision = precision or default_precision()
-    budget = budget or QuadratureBudget()
-    eng = _Engine(f, spec, precision, budget, fp_mode)
-    v, omega, nu = spec.variant, spec.omega, spec.nu
-    m, g = (0, f) if v == "stieltjes" else factor_zero(f)
-    if m:
-        eng.notes.append(f"zero of order m={m} at the origin")
-    alpha, beta, log = _singular(v, g, m, omega, nu, eng.notes)
-    singular = 0.0 + 0.0j
-    if alpha or beta:
-        gsum = ((alpha * g.evaluate(omega) if alpha else 0.0)
-                + (beta * g.evaluate(-omega) if beta else 0.0))
-        singular = complex(gsum * omega ** m * abs(omega) ** -nu
-                           * (math.log(abs(omega)) if log else 1.0))
-    arms = _arms(v, f, g, m, omega, nu, force_generic_parity, eng.notes)
-    series, used, tail = 0.0 + 0.0j, 0, 0.0
-    for arm in arms:
-        s, u, t = eng.arm_series(arm)
-        series, used, tail = series + s, used + u, tail + t
-    prefix = sum((t for arm in arms for t in _prefix_terms(arm, nu, spec.a, budget)),
-                 0.0 + 0.0j)
-    return EvalReport(prefix + series + singular, series, singular, prefix, used,
-                      float(tail), eng.notes)
+    specs, refusal, reports = [], None, []
+    for omega in omegas:
+        try:
+            spec = TransformSpec(variant, omega, nu, a)
+            lim = min(spec.a, f.rho0)
+            if math.isfinite(lim) and abs(spec.omega) > OMEGA_MARGIN * lim:
+                raise ConvergenceDomain(
+                    f"|omega| = {abs(spec.omega):g} exceeds {OMEGA_MARGIN:g} * min(a, rho0) "
+                    f"= {OMEGA_MARGIN * lim:g}; the series cannot converge reliably there")
+        except FpintError as exc:
+            refusal = exc                      # raised after the rows before it
+            break
+        specs.append(spec)
+    if specs:
+        v, nu, ws = variant, specs[0].nu, [spec.omega for spec in specs]
+        m, g = (0, f) if v == "stieltjes" else factor_zero(f)
+        notes = [[f"zero of order m={m} at the origin"] if m else [] for _ in ws]
+        sing = [_singular(v, g, m, omega, nu, n) for omega, n in zip(ws, notes)]
+        gpos = g.evaluate(np.array(ws)).tolist() if any(r[0] for r in sing) else None
+        gneg = g.evaluate(-np.array(ws)).tolist() if any(r[1] for r in sing) else None
+        arm_notes: list[str] = []
+        arms = _arms(v, f, g, m, nu, force_generic_parity, arm_notes)
+        eng = _Engine(nu, a, precision, budget, fp_mode != "generic",
+                      max(map(abs, ws)), math.isfinite(min(a, f.rho0)))
+        for i, omega in enumerate(ws):
+            (alpha, beta, log), singular = sing[i], 0.0 + 0.0j
+            if alpha or beta:
+                gsum = (alpha * gpos[i] if alpha else 0.0) + (beta * gneg[i] if beta else 0.0)
+                singular = complex(gsum * omega ** m * abs(omega) ** -nu
+                                   * (math.log(abs(omega)) if log else 1.0))
+            notes[i] += arm_notes
+            series, used, tail = 0.0 + 0.0j, 0, 0.0
+            for arm in arms:
+                s, u, t = eng.arm_series(arm, omega, notes[i])
+                series, used, tail = series + s, used + u, tail + t
+            prefix = sum((t for arm in arms for t in _prefix_terms(arm, omega, eng.integral)),
+                         0.0 + 0.0j)
+            reports.append(EvalReport(prefix + series + singular, series, singular, prefix,
+                                      used, float(tail), notes[i]))
+    if refusal is not None:
+        raise refusal
+    return reports
+
+
+def evaluate_transform(spec: TransformSpec, f: AnalyticFunction,
+                       precision: PrecisionConfig | None = None,
+                       budget: QuadratureBudget | None = None, fp_mode: str = "auto",
+                       force_generic_parity: bool = False) -> EvalReport:
+    """Evaluate one transform variant at one omega: the one-point grid."""
+    return evaluate_grid(spec.variant, f, [spec.omega], spec.nu, spec.a, precision,
+                         budget, fp_mode, force_generic_parity)[0]
 
 
 # -- named operations --------------------------------------------------------
@@ -405,8 +437,6 @@ def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
                            budget: QuadratureBudget | None = None) -> LeadingTerm:
     """Dominant omega -> 0 term of the transform, read off its arms and
     singular term (see the module docstring); omega enters only by its sign."""
-    precision = precision or default_precision()
-    budget = budget or QuadratureBudget()
     v, omega, nu, a = spec.variant, spec.omega, spec.nu, spec.a
     m, g = (0, f) if v == "stieltjes" else factor_zero(f)
     candidates = []                            # (exponent, log, coefficient)
@@ -419,10 +449,11 @@ def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
         if nu:                                 # evaluate() takes |omega|^exponent
             coef *= math.copysign(1.0, omega) ** (m + n)
         candidates.append((m + n - nu, log, coef))
-    # omega = 1 makes z = +-1, so each term is its coefficient of omega^e
-    for arm in _arms(v, f, g, m, 1.0, nu, False, []):
-        first = (next(_prefix_terms(arm, nu, a, budget)) if arm.p >= arm.step else _arm_term(
-            arm, 0, lambda h, k: resolve_fp(h, k, nu, a, precision, budget).value))
+    # at unit omega z = +-1, so each term is its coefficient of omega^e
+    eng = _Engine(nu, a, precision, budget)
+    for arm in _arms(v, f, g, m, nu, False, []):
+        first = (next(_prefix_terms(arm, 1.0, eng.integral)) if arm.p >= arm.step
+                 else complex(arm.c * arm.z ** arm.p * eng.arm_fp(arm, 0)[0]))
         candidates.append((float(arm.p % arm.step), False, first))
     expo, log, coef = min(candidates, key=lambda c: (c[0], not c[1]))
     if abs(coef) < PROVISO_FLOOR:

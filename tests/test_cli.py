@@ -41,6 +41,41 @@ class TestEvalHilbert:
         assert code == 0
         assert [r["omega"] for r in json.loads(out)["results"]] == [-0.5, 0.0, 0.5]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_grid_matches_point_rows(self, capsys, fmt):
+        # one grid call writes the bytes that per-point evaluation gives
+        from fpint import funcmodel as fm
+        from fpint import hilbert as hb
+        code, out, _ = run(capsys, [
+            "eval-hilbert", "--variant", "one-sided", "--function", "exp_decay:a=1",
+            "--nu", "0.25", "--omega", "0.1:0.5:5", "--hash-mode", "--format", fmt])
+        assert code == 0
+        f = fm.builtin("exp_decay", a=1.0)
+        omegas = [float(w) for w in np.linspace(0.1, 0.5, 5)]
+        reps = [hb.one_sided(f, 0.25, w) for w in omegas]
+        if fmt == "json":
+            rows = [{"omega": w, "value": {"re": r.value.real, "im": r.value.imag},
+                     "finite_part_sum": {"re": r.finite_part_sum.real,
+                                         "im": r.finite_part_sum.imag},
+                     "singular_contribution": {"re": r.singular_contribution.real,
+                                               "im": r.singular_contribution.imag},
+                     "convergent_prefix": {"re": r.convergent_prefix.real,
+                                           "im": r.convergent_prefix.imag},
+                     "terms_used": r.terms_used, "tail_estimate": r.tail_estimate,
+                     "route_notes": r.route_notes} for w, r in zip(omegas, reps)]
+            payload = {"command": "eval-hilbert", "variant": "one_sided",
+                       "function": "exp_decay:a=1", "nu": 0.25, "results": rows}
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            lines = out.splitlines()[1:]
+            want = [",".join(repr(x) for x in (
+                w, r.value.real, r.value.imag, r.finite_part_sum.real,
+                r.finite_part_sum.imag, r.singular_contribution.real,
+                r.singular_contribution.imag, r.convergent_prefix.real,
+                r.convergent_prefix.imag, r.terms_used, r.tail_estimate))
+                for w, r in zip(omegas, reps)]
+            assert lines == want
+
     def test_json_roundtrip_bit_identical(self, capsys):
         from fpint import funcmodel as fm
         from fpint import hilbert as hb
@@ -152,6 +187,14 @@ class TestExitCodes:
         got, out, err = run(capsys, argv)
         assert (got, out) == (code, "")
         assert "Traceback" not in err
+
+    def test_omega_power_overflow_refused(self, capsys):
+        # fermi a=1 at omega = 3.05 < 0.99 pi: omega^k overflows, a typed refusal
+        code, out, err = run(capsys, [
+            "eval-hilbert", "--variant", "one-sided", "--function", "fermi:a=1",
+            "--omega", "3.05"])
+        assert (code, out) == (3, "")
+        assert "ConvergenceDomain" in err and "Traceback" not in err
 
     def test_kernel_outside_domain(self, capsys):
         code, out, err = run(capsys, [

@@ -60,6 +60,12 @@ class TestOneSided:
         with pytest.raises(ConvergenceDomain):
             hb.one_sided(f, 0.0, 0.999, math.inf)
 
+    def test_omega_power_overflow_refused(self):
+        # inside the 0.99 rho0 margin (rho0 = pi) the series needs ~1000 terms
+        # and omega^k leaves binary64 near k = 640: a typed refusal
+        with pytest.raises(ConvergenceDomain, match="overflows"):
+            hb.one_sided(fm.builtin("fermi", a=1.0), 0.0, 0.97 * math.pi)
+
 
 class TestFullLine:
     @pytest.mark.parametrize("a_param", [-2.0, -1.0, 0.5, 1.0, 2.0])
@@ -169,6 +175,11 @@ class TestFullLineNu:
 
 
 class TestSymKernels:
+    def test_omega_power_overflow_refused(self):
+        # omega = 0.99 a (rho0 = a): omega^k overflows before the sum converges
+        with pytest.raises(ConvergenceDomain, match="overflows"):
+            hb.sym_x(fm.builtin("sqrt_inv_quad", a=1.4), 0.0, 0.99 * 1.4)
+
     def test_even_singular_vanishes_exactly(self):
         f = fm.builtin("gaussian", a=1.0)
         rep = hb.sym_omega(f, 0.0, 0.4)
@@ -449,3 +460,73 @@ class TestSmallOmega:
             errs.append(abs(val / lead.evaluate(w) - 1.0))
         assert errs[0] > errs[1] > errs[2], errs
         assert errs[2] <= 0.1, errs
+
+
+def _catalog_specs(monkeypatch, item_id):
+    """(spec, f) that the theorem route of C item item_id evaluates at its
+    first two catalog samples."""
+    from fpint import catalog as cat
+    seen = []
+
+    def record(spec, f, **kw):
+        seen.append((spec, f))
+        return hb.EvalReport(0j, 0j, 0j, 0j, 0, 0.0)
+
+    monkeypatch.setattr(hb, "evaluate_transform", record)
+    item = cat.C_ITEMS[item_id]
+    for params in item.sampler(cat.SAMPLE_SEED)[:2]:
+        item.theorem_route(params)
+    monkeypatch.undo()
+    return seen
+
+
+class TestGrid:
+    @pytest.mark.parametrize("fp_mode", ["auto", "generic"])
+    @pytest.mark.parametrize("item_id", [f"C.{i}" for i in range(1, 33)])
+    def test_rows_equal_points_on_catalog(self, monkeypatch, item_id, fp_mode):
+        # a grid shares its finite parts and prefix integrals across omega;
+        # each row equals its one-point evaluation bit for bit while
+        # 1.25 max|omega| stays within the split radius (1 for entire f)
+        scales = (-1.0, -0.5, 0.25, 0.5, 0.75, 1.0) if fp_mode == "auto" else (0.5, 1.0)
+        for spec, f in _catalog_specs(monkeypatch, item_id):
+            omegas = [t * spec.omega for t in scales
+                      if t > 0 or spec.variant.startswith("full_line")]
+            assert math.isfinite(f.rho0) or 1.25 * max(map(abs, omegas)) <= 1.0
+            grid = hb.evaluate_grid(spec.variant, f, omegas, spec.nu, fp_mode=fp_mode)
+            points = [hb.evaluate_transform(hb.TransformSpec(spec.variant, w, spec.nu), f,
+                                            fp_mode=fp_mode) for w in omegas]
+            assert [repr(r) for r in grid] == [repr(r) for r in points]
+
+    def test_full_line_sin_past_the_split(self):
+        # entire f: the grid splits every finite part at 1.25 max|omega| = pi/a,
+        # past the split its smaller omegas would use alone; rows move by
+        # rounding only (relative to the grid's largest value, since
+        # -pi cos(a omega) crosses zero)
+        a = 0.8
+        f = fm.builtin("sin", a=a)
+        omegas = [float(w) for w in np.linspace(0.05 * math.pi / a, 0.8 * math.pi / a, 14)]
+        grid = [r.value for r in hb.evaluate_grid("full_line", f, omegas)]
+        points = [hb.full_line(f, w).value for w in omegas]
+        exact = [-math.pi * math.cos(a * w) for w in omegas]
+        scale = max(map(abs, exact))
+        assert max(abs(g - p) for g, p in zip(grid, points)) <= 1e-12 * scale
+        assert max(abs(g - e) for g, e in zip(grid, exact)) <= 1e-12 * scale
+
+    def test_first_failing_omega_raises(self):
+        f = fm.builtin("inv_linear", c=1.0)     # rho0 = 1
+        assert hb.evaluate_grid("one_sided", f, []) == []
+        with pytest.raises(ConvergenceDomain):
+            hb.evaluate_grid("one_sided", f, [0.3, 0.5, 0.995, -0.2])
+        with pytest.raises(DomainError):
+            hb.evaluate_grid("one_sided", f, [0.3, -0.2, 0.995])
+        with pytest.raises(DomainError):
+            hb.evaluate_grid("one_sided", f, [0.3, math.inf])
+        # a row refused by its own series fails before a later invalid omega
+        with pytest.raises(ConvergenceDomain):
+            hb.evaluate_grid("one_sided", fm.builtin("gaussian", a=1.0), [1.0, 6.0, -1.0])
+
+    def test_one_point_grid_is_evaluate_transform(self):
+        f = fm.builtin("exp_decay", a=1.0)
+        spec = hb.TransformSpec("sym_omega", 0.3, 0.25)
+        [row] = hb.evaluate_grid("sym_omega", f, [0.3], 0.25)
+        assert repr(row) == repr(hb.evaluate_transform(spec, f))
