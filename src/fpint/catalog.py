@@ -43,9 +43,8 @@ AIRY_TOL = 1e-5
 SAMPLE_SEED = 20240801
 
 
-def _sum_terms(term_fn: Callable[[int], complex], rel_tol: float = 1e-13,
-               max_terms: int = SERIES_MAX_TERMS) -> complex:
-    return sum_series(term_fn, rel_tol, max_terms)[0]
+def _sum_terms(term_fn: Callable[[int], complex]) -> complex:
+    return sum_series(term_fn, 1e-13, SERIES_MAX_TERMS)[0]
 
 
 def _pfq(num, den, z) -> complex:
@@ -807,14 +806,14 @@ def reports_to_csv(reports: list[VerificationReport]) -> str:
 # ---------------------------------------------------------------------------
 
 def plasma_pv_series(beta: float, omega_j: float, f_j: float, g_j: float,
-                     omega: float, rel_tol: float = 1e-13) -> float:
+                     omega: float) -> float:
     """Full-line PV of the oscillator's imaginary part via the quartic
     finite-part series: -2 int h - 2 sum omega^{2k+2} ffp h / xi^{2k+2}."""
     head = -2.0 * f_j * g_j * math.pi / (2.0 * omega_j ** 3
                                          * math.sqrt(2.0 * (1.0 - beta)))
     series = _sum_terms(
         lambda k: -2.0 * omega ** (2 * k + 2) * f_j * g_j
-        * fp_quartic(beta, omega_j, k), rel_tol=rel_tol)
+        * fp_quartic(beta, omega_j, k))
     return head + float(series.real)
 
 

@@ -1,15 +1,18 @@
 """Finite parts ffp_0^a f(x) x^-(k+nu) dx.
 
-Three routes: term-by-term Maclaurin extraction (the canonical construction
-with the diverging eps-powers and log eps dropped), tabulated closed forms
-(dtable / the quartic family), and an independent numeric eps-extraction
-oracle that fits and removes the known divergent powers from int_eps^a.
+Three routes: the generic construction, tabulated closed forms (dtable / the
+quartic family), and an independent numeric eps-extraction oracle that fits
+and removes the known divergent powers from int_eps^a.  The generic route is
+one function, _fp_split: term-by-term Maclaurin extraction up to a split
+point s (the diverging eps-powers and log eps dropped) plus the ordinary
+integral of f x^-(k+nu) beyond s, over [s, a] or [s, inf).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +28,7 @@ EPS_GRID_LEN = 18
 EPS_LADDER_FLOOR = -6.5
 CONDITION_CAP = 1e10          # cap on the divergent-model design matrix
 EXTENDED_CONDITION_CAP = 1e15  # guard on the ladder-augmented matrix
+_BUDGET = QuadratureBudget()   # quadrature tolerances of the generic route
 
 
 def snap_nu(nu: float) -> float:
@@ -71,7 +75,6 @@ class FpValue:
     terms_used: int = 0
     tail_estimate: float = 0.0
     cancellation: float = 1.0     # peak intermediate magnitude over |value|
-    notes: list[str] = field(default_factory=list)
 
 
 def split_radius(f: AnalyticFunction, k: int) -> float:
@@ -118,83 +121,71 @@ def _series_on(f: AnalyticFunction, a: float, k: int, nu: float,
                       first_stop=f.zero_order + k + 2)
 
 
-def fp_series_finite(f: AnalyticFunction, kernel: FpKernel,
-                     precision: PrecisionConfig | None = None,
-                     budget: QuadratureBudget | None = None,
-                     scale_hint: float | None = None) -> FpValue:
-    """Finite part over [0, a], a finite, by Maclaurin extraction.
+def _fp_split(f: AnalyticFunction, kernel: FpKernel, precision: PrecisionConfig | None,
+              scale_hint: float | None) -> FpValue:
+    """Finite part over [0, a]: Maclaurin extraction on [0, s] plus the
+    ordinary integral of the (there regular) integrand over [s, a].
 
-    When a exceeds the series' safe split point the integral splits and
-    [a_split, a] is handled by ordinary quadrature (integrand regular there).
-    The split point honors scale_hint (the caller's omega scale): the halves
-    of a split cancel like (omega/a_split)^k, so the series must reach past
-    the caller's expansion point.
+    s is split_radius(f, k); at most 1 when a = inf and k <= 14 (steeper
+    kernels keep split_radius, whose push toward rho0 bounds the
+    cancellation); for entire f at least 1.25 min(scale_hint, a), since the
+    pieces cancel like (omega/s)^k and the series must reach past the
+    caller's omega scale; and at most a, where the series alone is the value
+    (route "series").  Beyond s (route "split_tail"): adaptive_quad up to a
+    finite a, else tail_integral aimed at the tail's own scale.  A non-finite
+    value, from a pole of f on the range, raises DomainError.
     """
-    precision = precision or default_precision()
-    budget = budget or QuadratureBudget()
-    a = kernel.upper
-    if not math.isfinite(a):
-        raise DomainError("fp_series_finite needs a finite upper limit")
-    k, nu = kernel.k, kernel.nu
-    base = split_radius(f, k)
-    if not math.isfinite(f.rho0) and scale_hint is not None:
-        base = max(base, 1.25 * min(scale_hint, a))
-    a_split = min(a, base)
-    value, terms, tail, peak_term = _series_on(f, a_split, k, nu, precision)
-    route = "series"
-    quad_mag = 0.0
-    if a_split < a:
-        e = kernel.exponent
-
-        def integrand(x: np.ndarray):
-            return f.evaluate(x) * x ** (-e)
-
-        piece = adaptive_quad(integrand, a_split, a, budget)
-        value += piece
-        quad_mag = abs(piece)
-        route = "split_tail"
-    cancel = (peak_term + quad_mag) / max(abs(value), 1e-300)
-    return FpValue(value, route, terms, tail, max(cancel, 1.0))
-
-
-def fp_infinite(f: AnalyticFunction, kernel: FpKernel,
-                precision: PrecisionConfig | None = None,
-                budget: QuadratureBudget | None = None,
-                scale_hint: float | None = None) -> FpValue:
-    """Finite part over [0, inf): series piece on [0, a0] plus a convergent tail.
-
-    scale_hint (the caller's omega scale) pushes the split point outward for
-    entire f, keeping the series/tail cancellation below the caller's powers.
-    """
-    precision = precision or default_precision()
-    budget = budget or QuadratureBudget()
-    if math.isfinite(kernel.upper):
-        raise DomainError("fp_infinite expects upper = inf")
-    e = kernel.exponent
-    if not f.tail.admits_inverse_power(e):
+    k, nu, a, e = kernel.k, kernel.nu, kernel.upper, kernel.exponent
+    if a == math.inf and not f.tail.admits_inverse_power(e):
         raise TailNotIntegrable(
             f"{f.name}: declared tail ({f.tail.kind}) does not admit x^-{e:g} at infinity")
-    a0 = split_radius(f, kernel.k)
+    s = split_radius(f, k)
     if math.isfinite(f.rho0):
-        a0 = min(a0, 1.0) if kernel.k <= 14 else a0
+        s = min(s, 1.0) if a == math.inf and k <= 14 else s
     elif scale_hint is not None:
-        a0 = max(a0, 1.25 * scale_hint)
-    head, terms, tail_est, peak_term = _series_on(f, a0, kernel.k, kernel.nu, precision)
+        s = max(s, 1.25 * min(scale_hint, a))
+    s = min(s, a)
+    value, terms, tail, peak_term = _series_on(f, s, k, nu,
+                                               precision or default_precision())
+    route, rest = "series", 0.0
 
     def integrand(x: np.ndarray):
         return f.evaluate(x) * x ** (-e)
 
-    # aim the tail tolerance at the tail's own scale: steep kernels make the
-    # tail tiny, and a caller weighting these finite parts by omega^k cannot
-    # afford a fixed absolute error floor
-    probe = abs(complex(np.asarray(f.evaluate(np.array([a0])))[0]))
-    t_scale = probe * a0 ** (1.0 - e) / max(e - 1.0, 1.0)
-    tail_budget = replace(budget, abs_tol=max(
-        min(budget.abs_tol, budget.rel_tol * t_scale), 1e-250))
-    tail_val = tail_integral(integrand, a0, f.tail, tail_budget, extra_power=e)
-    value = head + tail_val
-    cancel = (peak_term + abs(tail_val)) / max(abs(value), 1e-300)
-    return FpValue(value, "split_tail", terms, tail_est, max(cancel, 1.0))
+    if s < a < math.inf:
+        route, rest = "split_tail", adaptive_quad(integrand, s, a, _BUDGET)
+    elif a == math.inf:
+        # steep kernels make the tail tiny, and a caller weighting these
+        # finite parts by omega^k cannot afford a fixed absolute error floor
+        probe = abs(complex(np.asarray(f.evaluate(np.array([s])))[0]))
+        t_scale = probe * s ** (1.0 - e) / max(e - 1.0, 1.0)
+        budget = replace(_BUDGET, abs_tol=max(
+            min(_BUDGET.abs_tol, _BUDGET.rel_tol * t_scale), 1e-250))
+        route, rest = "split_tail", tail_integral(integrand, s, f.tail, budget, extra_power=e)
+    value += rest
+    if not cmath.isfinite(value):
+        raise DomainError(f"{f.name}: finite part of x^-{e:g} over [0, {a:g}] is "
+                          f"{value}; f is singular on the range")
+    cancel = (peak_term + abs(rest)) / max(abs(value), 1e-300)
+    return FpValue(value, route, terms, tail, max(cancel, 1.0))
+
+
+def fp_series_finite(f: AnalyticFunction, kernel: FpKernel,
+                     precision: PrecisionConfig | None = None,
+                     scale_hint: float | None = None) -> FpValue:
+    """Finite part over [0, a], a finite (see _fp_split)."""
+    if not math.isfinite(kernel.upper):
+        raise DomainError("fp_series_finite needs a finite upper limit")
+    return _fp_split(f, kernel, precision, scale_hint)
+
+
+def fp_infinite(f: AnalyticFunction, kernel: FpKernel,
+                precision: PrecisionConfig | None = None,
+                scale_hint: float | None = None) -> FpValue:
+    """Finite part over [0, inf) (see _fp_split)."""
+    if math.isfinite(kernel.upper):
+        raise DomainError("fp_infinite expects upper = inf")
+    return _fp_split(f, kernel, precision, scale_hint)
 
 
 def fp_exp_osc(a: float, k: int) -> complex:
@@ -296,8 +287,7 @@ def fp_epsilon_oracle(f_eval, kernel: FpKernel,
     n_eps = max(EPS_GRID_LEN, n_cols + 5)
     eps = np.array([a / 2.0 * 2.0 ** (-j) for j in range(n_eps)])
 
-    inner = QuadratureBudget(abs_tol=1e-14, rel_tol=5e-15,
-                             max_subdivisions=budget.max_subdivisions)
+    inner = QuadratureBudget(abs_tol=1e-14, rel_tol=5e-15)
 
     def log_integrand(u: np.ndarray):
         x = np.exp(u)
@@ -346,7 +336,6 @@ def fp_epsilon_oracle(f_eval, kernel: FpKernel,
 
 def resolve_fp(f: AnalyticFunction, k: int, nu: float, upper: float,
                precision: PrecisionConfig | None = None,
-               budget: QuadratureBudget | None = None,
                use_hook: bool = True,
                scale_hint: float | None = None) -> FpValue:
     """Finite part by the best available route: closed form, else series."""
@@ -355,7 +344,4 @@ def resolve_fp(f: AnalyticFunction, k: int, nu: float, upper: float,
         val = f.fp_hook(k, nu, upper)
         if val is not None:
             return FpValue(complex(val), "closed_form", 1, 0.0)
-    kernel = FpKernel(k, nu, upper)
-    if math.isfinite(upper):
-        return fp_series_finite(f, kernel, precision, budget, scale_hint=scale_hint)
-    return fp_infinite(f, kernel, precision, budget, scale_hint=scale_hint)
+    return _fp_split(f, FpKernel(k, nu, upper), precision, scale_hint)

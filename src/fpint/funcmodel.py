@@ -169,8 +169,7 @@ def from_coefficients(coeffs: Sequence[complex] | Callable[[int], complex],
                       tail_decay: TailDecay | None = None,
                       parity: str = "none",
                       name: str = "user",
-                      zero_order: int | None = None,
-                      check: bool = True) -> AnalyticFunction:
+                      zero_order: int | None = None) -> AnalyticFunction:
     """Wrap a user coefficient stream + evaluator as an AnalyticFunction.
 
     The stream is probed against the evaluator on |x| <= rho0/2 (relative
@@ -191,8 +190,7 @@ def from_coefficients(coeffs: Sequence[complex] | Callable[[int], complex],
 
     f = AnalyticFunction(name, ev, coeff_fn, rho0, parity=parity,
                          tail=tail_decay, zero_order=zero_order)
-    if check:
-        _consistency_probe(f)
+    _consistency_probe(f)
     return f
 
 

@@ -50,7 +50,7 @@ from .errors import ConvergenceDomain, DomainError, FpintError, ProvisoViolated
 from .finitepart import FpValue, resolve_fp, snap_nu
 from .funcmodel import AnalyticFunction, factor_zero, scaled
 from .precision import PrecisionConfig, default_precision, sum_series
-from .pvoracle import QuadratureBudget, regular_integral
+from .pvoracle import regular_integral
 
 VARIANTS = ("stieltjes", "one_sided", "full_line", "full_line_sgn",
             "full_line_branch", "full_line_abs", "full_line_abs_sgn",
@@ -60,6 +60,7 @@ _POSITIVE_OMEGA = {"stieltjes", "one_sided", "sym_omega", "sym_x"}
 _NU_REQUIRED = {"full_line_branch", "full_line_abs", "full_line_abs_sgn"}
 _NU_FORBIDDEN = {"full_line", "full_line_sgn"}
 _SGN = {"full_line_sgn", "full_line_abs_sgn"}
+_FP_MODES = ("auto", "generic")
 
 OMEGA_MARGIN = 0.99
 RATIO_LIMIT = 0.999
@@ -125,8 +126,7 @@ class _Arm:
     s: float = -1.0
 
 
-def _prefix_integral(arm: _Arm, k: int, nu: float, a: float,
-                     budget: QuadratureBudget) -> complex:
+def _prefix_integral(arm: _Arm, k: int, nu: float, a: float) -> complex:
     """int_0^a h_k(x) x^-(j + step k + nu) dx for a term k < 0 of index <= 0."""
     g, power = arm.g, -(arm.j + arm.step * k) - nu
 
@@ -136,7 +136,7 @@ def _prefix_integral(arm: _Arm, k: int, nu: float, a: float,
         return x ** power * ((-1.0) ** k * arm.w * g.evaluate(-x) + arm.s * g.evaluate(x))
 
     return regular_integral(integrand, 0.0, a, endpoint_nu=max(0.0, -power),
-                            budget=budget, tail=g.tail, tail_extra_power=-power)
+                            tail=g.tail, tail_extra_power=-power)
 
 
 def _prefix_terms(arm: _Arm, omega: float, integral: Callable[[_Arm, int], complex]):
@@ -150,11 +150,10 @@ class _Engine:
     and prefix integrals are resolved once, as none depends on omega."""
 
     def __init__(self, nu: float, a: float, precision: PrecisionConfig | None = None,
-                 budget: QuadratureBudget | None = None, use_hook: bool = True,
-                 scale_hint: float | None = None, bounded_domain: bool = True):
+                 use_hook: bool = True, scale_hint: float | None = None,
+                 bounded_domain: bool = True):
         self.nu, self.a, self.use_hook, self.scale_hint = nu, a, use_hook, scale_hint
         self.precision = precision or default_precision()
-        self.budget = budget or QuadratureBudget()
         # entire f on the whole half/full line has no convergence boundary:
         # the omega series is entire, and transient term growth is normal
         self.bounded_domain = bounded_domain
@@ -177,13 +176,13 @@ class _Engine:
         return cached[k]
 
     def _resolve(self, fn: AnalyticFunction, n: int) -> FpValue:
-        return resolve_fp(fn, n, self.nu, self.a, self.precision, self.budget,
+        return resolve_fp(fn, n, self.nu, self.a, self.precision,
                           use_hook=self.use_hook, scale_hint=self.scale_hint)
 
     def integral(self, arm: _Arm, k: int) -> complex:
         key = (id(arm), k)
         if key not in self._prefix_cache:
-            self._prefix_cache[key] = _prefix_integral(arm, k, self.nu, self.a, self.budget)
+            self._prefix_cache[key] = _prefix_integral(arm, k, self.nu, self.a)
         return self._prefix_cache[key]
 
     def arm_series(self, arm: _Arm, omega: float,
@@ -306,7 +305,7 @@ def _singular(v: str, g: AnalyticFunction, m: int, omega: float, nu: float,
 
 def evaluate_grid(variant: str, f: AnalyticFunction, omegas, nu: float = 0.0,
                   a: float = math.inf, precision: PrecisionConfig | None = None,
-                  budget: QuadratureBudget | None = None, fp_mode: str = "auto",
+                  fp_mode: str = "auto",
                   force_generic_parity: bool = False) -> list[EvalReport]:
     """Evaluate one transform variant at each omega from its arms and singular term.
 
@@ -315,6 +314,8 @@ def evaluate_grid(variant: str, f: AnalyticFunction, omegas, nu: float = 0.0,
     fp_mode="generic" bypasses the closed-form finite-part hooks;
     force_generic_parity skips the even-g reduction of the full-line kernels.
     """
+    if fp_mode not in _FP_MODES:
+        raise DomainError(f"unknown fp_mode {fp_mode!r}; one of {_FP_MODES}")
     specs, refusal, reports = [], None, []
     for omega in omegas:
         try:
@@ -337,7 +338,7 @@ def evaluate_grid(variant: str, f: AnalyticFunction, omegas, nu: float = 0.0,
         gneg = g.evaluate(-np.array(ws)).tolist() if any(r[1] for r in sing) else None
         arm_notes: list[str] = []
         arms = _arms(v, f, g, m, nu, force_generic_parity, arm_notes)
-        eng = _Engine(nu, a, precision, budget, fp_mode != "generic",
+        eng = _Engine(nu, a, precision, fp_mode != "generic",
                       max(map(abs, ws)), math.isfinite(min(a, f.rho0)))
         for i, omega in enumerate(ws):
             (alpha, beta, log), singular = sing[i], 0.0 + 0.0j
@@ -360,12 +361,11 @@ def evaluate_grid(variant: str, f: AnalyticFunction, omegas, nu: float = 0.0,
 
 
 def evaluate_transform(spec: TransformSpec, f: AnalyticFunction,
-                       precision: PrecisionConfig | None = None,
-                       budget: QuadratureBudget | None = None, fp_mode: str = "auto",
+                       precision: PrecisionConfig | None = None, fp_mode: str = "auto",
                        force_generic_parity: bool = False) -> EvalReport:
     """Evaluate one transform variant at one omega: the one-point grid."""
     return evaluate_grid(spec.variant, f, [spec.omega], spec.nu, spec.a, precision,
-                         budget, fp_mode, force_generic_parity)[0]
+                         fp_mode, force_generic_parity)[0]
 
 
 # -- named operations --------------------------------------------------------
@@ -432,9 +432,7 @@ class LeadingTerm:
             self.coefficient * omega ** self.exponent
 
 
-def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
-                           precision: PrecisionConfig | None = None,
-                           budget: QuadratureBudget | None = None) -> LeadingTerm:
+def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction) -> LeadingTerm:
     """Dominant omega -> 0 term of the transform, read off its arms and
     singular term (see the module docstring); omega enters only by its sign."""
     v, omega, nu, a = spec.variant, spec.omega, spec.nu, spec.a
@@ -450,7 +448,7 @@ def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction,
             coef *= math.copysign(1.0, omega) ** (m + n)
         candidates.append((m + n - nu, log, coef))
     # at unit omega z = +-1, so each term is its coefficient of omega^e
-    eng = _Engine(nu, a, precision, budget)
+    eng = _Engine(nu, a)
     for arm in _arms(v, f, g, m, nu, False, []):
         first = (next(_prefix_terms(arm, 1.0, eng.integral)) if arm.p >= arm.step
                  else complex(arm.c * arm.z ** arm.p * eng.arm_fp(arm, 0)[0]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -69,6 +70,8 @@ def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
     six consecutive term ratios >= ratio_limit past term 24 raise
     ConvergenceDomain: the series sits on its convergence boundary.
 
+    A term that is not finite (inf or nan) raises NoConvergence.
+
     Returns (total, terms used, tail, peak_term): tail is the largest |term|
     from the last term above the floor on, peak_term the largest |term|.
     """
@@ -80,6 +83,8 @@ def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
         t = complex(term(k))
         total += t
         mag = abs(t)
+        if not mag < math.inf:
+            raise NoConvergence(f"series term k = {k} is not finite ({t})")
         peak = max(peak, abs(total))
         peak_term = max(peak_term, mag)
         floor = rel_tol * max(abs(total), 1e-3 * peak, 1e-300)

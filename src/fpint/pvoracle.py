@@ -22,15 +22,15 @@ from .funcmodel import (TAIL_ALG, TAIL_EXP, TAIL_NONE, TAIL_OSC_ALG,
 
 _GL_LO = np.polynomial.legendre.leggauss(21)
 _GL_HI = np.polynomial.legendre.leggauss(43)
+_MAX_SUBDIVISIONS = 4000  # adaptive_quad bisections
+_TAIL_SAFETY = 0.1        # tails truncated when bound < abs_tol * _TAIL_SAFETY
+_MAX_SEGMENTS = 600       # oscillatory tail half-periods
 
 
 @dataclass(frozen=True)
 class QuadratureBudget:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-11
-    max_subdivisions: int = 4000
-    tail_safety: float = 0.1      # tails truncated when bound < abs_tol * tail_safety
-    max_segments: int = 600       # oscillatory tail half-periods
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -53,7 +53,7 @@ def adaptive_quad(f, a: float, b: float, budget: QuadratureBudget) -> complex:
     intervals = [(err, a, b, val)]
     total = val
     total_err = err
-    for _ in range(budget.max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         tol = max(budget.abs_tol, budget.rel_tol * abs(total))
         if total_err <= tol:
             return total
@@ -160,7 +160,7 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     best_err = math.inf
     wynn_prev = None
     fit_prev = None
-    for i in range(budget.max_segments):
+    for i in range(_MAX_SEGMENTS):
         right = ((phi0 + (i + 1) * math.pi) / c) ** (1.0 / q)
         partial += _fixed_panel(f, left, right)
         left = right
@@ -187,7 +187,7 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
                 return est
     if best is None or best_err > 1e6 * max(budget.abs_tol, budget.rel_tol * abs(best)):
         raise TailBoundUnmet(
-            f"oscillatory tail not converged after {budget.max_segments} segments "
+            f"oscillatory tail not converged after {_MAX_SEGMENTS} segments "
             f"(best error {best_err:g})")
     return best
 
@@ -201,7 +201,7 @@ def tail_integral(f, start: float, tail: TailDecay, budget: QuadratureBudget,
     """
     if tail.kind == TAIL_NONE:
         raise TailNotIntegrable("tail decay declared as none")
-    target = budget.abs_tol * budget.tail_safety
+    target = budget.abs_tol * _TAIL_SAFETY
     if tail.kind == TAIL_EXP:
         rate = tail.rate or 1.0
         # |f| <= C exp(-rate x): calibrate C at start, truncate accordingly

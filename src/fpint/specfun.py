@@ -197,9 +197,9 @@ def _upper_gamma_cf(s: float, x: complex, rel_tol: float) -> complex:
     return cmath.exp(-x + s * cmath.log(x)) * _upper_cf_factor(s, x, rel_tol)
 
 
-def incomplete_gamma_lower(s: float, x: float, precision: PrecisionConfig | None = None) -> float:
+def incomplete_gamma_lower(s: float, x: float) -> float:
     """gamma(s, x) = int_0^x t^{s-1} e^{-t} dt, s > 0, x >= 0."""
-    precision = precision or default_precision()
+    rel_tol = default_precision().rel_tol
     if s <= 0.0:
         raise DomainError("lower incomplete gamma needs s > 0")
     if x < 0.0:
@@ -207,19 +207,18 @@ def incomplete_gamma_lower(s: float, x: float, precision: PrecisionConfig | None
     if x == 0.0:
         return 0.0
     if x < s + 1.0:
-        return _lower_gamma_series(s, complex(x), precision.rel_tol).real
-    return math.gamma(s) - _upper_gamma_cf(s, complex(x), precision.rel_tol).real
+        return _lower_gamma_series(s, complex(x), rel_tol).real
+    return math.gamma(s) - _upper_gamma_cf(s, complex(x), rel_tol).real
 
 
-def incomplete_gamma_upper(s: float, x: float | complex,
-                           precision: PrecisionConfig | None = None) -> float | complex:
+def incomplete_gamma_upper(s: float, x: float | complex) -> float | complex:
     """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt.
 
     Any real s is admitted when x != 0 (downward recurrence lifts s <= 0);
     x may be complex (principal branch of x^s), which the catalog's
     oscillatory-kernel entries need.
     """
-    precision = precision or default_precision()
+    rel_tol = default_precision().rel_tol
     xc = complex(x)
     if xc == 0:
         if s <= 0.0:
@@ -230,22 +229,21 @@ def incomplete_gamma_upper(s: float, x: float | complex,
         # Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s
         n_shift = int(math.floor(1.0 - s))
         s_top = s + n_shift
-        val = incomplete_gamma_upper(s_top, xc, precision)
+        val = incomplete_gamma_upper(s_top, xc)
         for j in range(n_shift):
             sj = s_top - 1 - j
             val = (val - cmath.exp(sj * cmath.log(xc) - xc)) / sj
         return val if isinstance(x, complex) else val.real
     if xc.imag == 0.0 and xc.real > 0.0 and xc.real >= s + 1.0:
-        val = _upper_gamma_cf(s, xc, precision.rel_tol)
+        val = _upper_gamma_cf(s, xc, rel_tol)
     else:
-        val = math.gamma(s) - _lower_gamma_series(s, xc, precision.rel_tol)
+        val = math.gamma(s) - _lower_gamma_series(s, xc, rel_tol)
     return val if isinstance(x, complex) else val.real
 
 
-def incomplete_gamma_p(s: float, x: float,
-                       precision: PrecisionConfig | None = None) -> float:
+def incomplete_gamma_p(s: float, x: float) -> float:
     """Regularized lower gamma P(s, x) = gamma(s, x)/Gamma(s); stable at large s."""
-    precision = precision or default_precision()
+    rel_tol = default_precision().rel_tol
     if s <= 0.0:
         raise DomainError("regularized lower incomplete gamma needs s > 0")
     if x < 0.0:
@@ -260,19 +258,18 @@ def incomplete_gamma_p(s: float, x: float,
         for n in range(1, 1000):
             term *= x / (s + n)
             total += term
-            if term <= precision.rel_tol * total:
+            if term <= rel_tol * total:
                 break
         else:
             raise NoConvergence("regularized lower gamma series stalled")
         return math.exp(ln_pref - math.lgamma(s + 1.0)) * total
-    h = _upper_cf_factor(s, complex(x), precision.rel_tol).real
+    h = _upper_cf_factor(s, complex(x), rel_tol).real
     return 1.0 - math.exp(ln_pref - math.lgamma(s)) * h
 
 
-def incomplete_gamma_q(s: float, x: float,
-                       precision: PrecisionConfig | None = None) -> float:
+def incomplete_gamma_q(s: float, x: float) -> float:
     """Regularized upper gamma Q(s, x) = Gamma(s, x)/Gamma(s)."""
-    return 1.0 - incomplete_gamma_p(s, x, precision)
+    return 1.0 - incomplete_gamma_p(s, x)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +343,7 @@ def _exp_e1_asymptotic(w: complex) -> complex:
     return cmath.exp(-w) * total
 
 
-def hyper_2f2_asymptotic_11(k: int, a: float, s: float,
-                            precision: PrecisionConfig | None = None) -> complex:
+def hyper_2f2_asymptotic_11(k: int, a: float, s: float) -> complex:
     """Large-|a s| value of (ia)^{k+1} s / (k+1)! * 2F2(1,1; 2,2+k; i a s).
 
     Uses the exact reduction T_k(z) = (1/k) T_{k-1}(z) - (e^z - e_k(z)) / (k z^k)
@@ -375,12 +371,10 @@ def hyper_2f2_asymptotic_11(k: int, a: float, s: float,
     return (1j * a) ** k * t
 
 
-def hyper_2f2_11_direct(k: int, a: float, s: float,
-                        precision: PrecisionConfig | None = None) -> complex:
+def hyper_2f2_11_direct(k: int, a: float, s: float) -> complex:
     """Direct-summation value of the same quantity (small |a s| route)."""
-    precision = precision or default_precision()
     z = 1j * a * s
-    val = hyper_pfq([1.0, 1.0], [2.0, 2.0 + k], z, precision).value
+    val = hyper_pfq([1.0, 1.0], [2.0, 2.0 + k], z).value
     return (1j * a) ** (k + 1) * s / math.factorial(k + 1) * val
 
 

@@ -202,6 +202,14 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "DomainError" in err and "Traceback" not in err
 
+    def test_pole_on_range_refused(self, capsys):
+        # inv_linear's pole at x = -1 lies inside the full line's [-2, 2]
+        code, out, err = run(capsys, [
+            "eval-hilbert", "--variant", "full-line", "--function", "inv_linear:c=1",
+            "--omega", "0.4", "--upper", "2"])
+        assert (code, out) == (3, "")
+        assert "DomainError" in err and "Traceback" not in err
+
     def test_numerical_failure(self, capsys):
         # omega at the convergence boundary: named numerical failure, exit 3
         code, _, err = run(capsys, [

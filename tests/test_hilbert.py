@@ -525,8 +525,30 @@ class TestGrid:
         with pytest.raises(ConvergenceDomain):
             hb.evaluate_grid("one_sided", fm.builtin("gaussian", a=1.0), [1.0, 6.0, -1.0])
 
+    def test_unknown_fp_mode_refused(self):
+        f = fm.builtin("exp_decay", a=1.0)
+        with pytest.raises(DomainError, match="'auto', 'generic'"):
+            hb.evaluate_grid("one_sided", f, [0.3], fp_mode="genric")
+        with pytest.raises(DomainError, match="'auto', 'generic'"):
+            hb.evaluate_transform(hb.TransformSpec("one_sided", 0.3), f, fp_mode="genric")
+
     def test_one_point_grid_is_evaluate_transform(self):
         f = fm.builtin("exp_decay", a=1.0)
         spec = hb.TransformSpec("sym_omega", 0.3, 0.25)
         [row] = hb.evaluate_grid("sym_omega", f, [0.3], 0.25)
         assert repr(row) == repr(hb.evaluate_transform(spec, f))
+
+
+class TestPoleOnRange:
+    # inv_linear reflected has its pole at x = c inside [0, a = 2]: every
+    # finite part of the omega series is inf or nan, a refusal and not a hang
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("c", [0.7, 1.0, 1.1, 1.37])
+    def test_full_line_refused(self, c, sign):
+        with pytest.raises(DomainError, match=r"inv_linear.*x\^-1 over \[0, 2\]"):
+            hb.full_line(fm.builtin("inv_linear", c=c), sign * 0.4 * c, a=2.0)
+
+    def test_small_omega_refused(self):
+        spec = hb.TransformSpec("full_line", 1e-3, 0.0, a=2.0)
+        with pytest.raises(DomainError):
+            hb.small_omega_asymptotic(spec, fm.builtin("inv_linear", c=1.0))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fpint.errors import ConvergenceDomain, NoConvergence
@@ -43,3 +45,22 @@ def test_ratio_limit_refuses_boundary_series():
     # the same series without the ratio test runs into the term cap
     with pytest.raises(NoConvergence):
         sum_series(lambda k: 0.9995 ** k, 1e-12, 1000)
+
+
+def test_infinite_term_raises():
+    # inf <= rel_tol * inf would count the term as small and return inf
+    with pytest.raises(NoConvergence, match="k = 5"):
+        sum_series(lambda k: math.inf if k == 5 else 0.5 ** k, 1e-12, 1000)
+
+
+def test_nan_term_raises_at_once():
+    # a nan term is never small: without the check the sum runs to max_terms
+    calls = []
+
+    def term(k):
+        calls.append(k)
+        return math.nan if k == 3 else 0.5 ** k
+
+    with pytest.raises(NoConvergence, match="k = 3"):
+        sum_series(term, 1e-12, 1000)
+    assert len(calls) <= 4
