@@ -121,10 +121,17 @@ def _wynn_epsilon(sums: list[complex]) -> complex:
     return best
 
 
-def _fixed_panel(f, a: float, b: float) -> complex:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return complex(np.sum(_GL_HI[1] * f(mid + half * _GL_HI[0])) * half)
+def _fixed_panels(f, edges: np.ndarray) -> list[complex]:
+    """43-point Gauss-Legendre value of each panel [edges[k], edges[k+1]].
+
+    f is called once, on the nodes of all panels; each panel is then reduced
+    on its own, so a panel's value does not depend on the others.
+    """
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * _GL_HI[0]
+    rows = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    return [complex(np.sum(_GL_HI[1] * row) * h) for row, h in zip(rows, half)]
 
 
 def _power_ladder_fit(xs: np.ndarray, sums: np.ndarray, gamma: float) -> complex:
@@ -160,34 +167,37 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     best_err = math.inf
     wynn_prev = None
     fit_prev = None
-    for i in range(_MAX_SEGMENTS):
-        right = ((phi0 + (i + 1) * math.pi) / c) ** (1.0 / q)
-        partial += _fixed_panel(f, left, right)
-        left = right
-        sums.append(partial)
-        rights.append(right)
-        if i >= 16 and i % 8 == 0:
-            # full-period pairing removes the alternating component
-            paired = 0.5 * (np.asarray(sums[:-1:2], dtype=complex)
-                            + np.asarray(sums[1::2], dtype=complex))
-            xs = np.asarray(rights[1::2], dtype=float)[:len(paired)]
-            n = len(paired)
-            fit = _power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma)
-            fit_b = _power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma)
-            wynn = _wynn_epsilon(sums[-17:])
-            # each estimator is scored by its own self-consistency
-            err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
-                                          else math.inf)
-            err_wynn = (abs(wynn - wynn_prev) if wynn_prev is not None else math.inf)
-            wynn_prev, fit_prev = wynn, fit
-            est, err = (wynn, err_wynn) if err_wynn < err_fit else (fit, err_fit)
-            if err < best_err:
-                best, best_err = est, err
-            if err < max(budget.abs_tol, budget.rel_tol * abs(est)):
-                return est
+    # the panel edges depend only on the phase, so each window of panels up to
+    # the next estimator check (segments 0-16, then 8 at a time) is one f call
+    for i in range(16, _MAX_SEGMENTS, 8):
+        window = [((phi0 + (k + 1) * math.pi) / c) ** (1.0 / q)
+                  for k in range(len(rights), i + 1)]
+        for piece in _fixed_panels(f, np.array([left] + window)):
+            partial += piece
+            sums.append(partial)
+        rights += window
+        left = window[-1]
+        # full-period pairing removes the alternating component
+        paired = 0.5 * (np.asarray(sums[:-1:2], dtype=complex)
+                        + np.asarray(sums[1::2], dtype=complex))
+        xs = np.asarray(rights[1::2], dtype=float)[:len(paired)]
+        n = len(paired)
+        fit = _power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma)
+        fit_b = _power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma)
+        wynn = _wynn_epsilon(sums[-17:])
+        # each estimator is scored by its own self-consistency
+        err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
+                                      else math.inf)
+        err_wynn = (abs(wynn - wynn_prev) if wynn_prev is not None else math.inf)
+        wynn_prev, fit_prev = wynn, fit
+        est, err = (wynn, err_wynn) if err_wynn < err_fit else (fit, err_fit)
+        if err < best_err:
+            best, best_err = est, err
+        if err < max(budget.abs_tol, budget.rel_tol * abs(est)):
+            return est
     if best is None or best_err > 1e6 * max(budget.abs_tol, budget.rel_tol * abs(best)):
         raise TailBoundUnmet(
-            f"oscillatory tail not converged after {_MAX_SEGMENTS} segments "
+            f"oscillatory tail not converged after {len(sums)} segments "
             f"(best error {best_err:g})")
     return best
 
@@ -234,7 +244,7 @@ def tail_integral(f, start: float, tail: TailDecay, budget: QuadratureBudget,
             if j < 4:
                 piece = complex(adaptive_quad(f, left, 2.0 * left, budget))
             else:
-                piece = complex(_fixed_panel(f, left, 2.0 * left))
+                piece = _fixed_panels(f, np.array([left, 2.0 * left]))[0]
             total += piece
             left *= 2.0
             if abs(piece) * geo < target:
