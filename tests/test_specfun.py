@@ -201,6 +201,25 @@ class TestBesselAiry:
         assert rel(sf.bessel_i_third(-1, 2.2), 2.5626584487507311665) < 1e-13
 
 
+class TestArrayIndependence:
+    # a value must not depend on the other points that share its array
+    X = np.concatenate([np.random.default_rng(20240801).uniform(-40.0, 40.0, 1000),
+                        [6.001, 8.0, -6.001, -8.0, 9.0, 9.001, 21.3]])
+
+    @pytest.mark.parametrize("fn", [sf.airy_ai, sf.airy_ai_prime])
+    def test_airy_bitwise(self, fn):
+        one = np.array([fn(float(x)) for x in self.X])
+        assert np.array_equal(fn(self.X), one)
+
+    def test_j0_within_an_ulp_of_its_envelope(self):
+        # bessel_j0's loops stop when every point's term is small, so in an
+        # array a point may add more terms below 1e-18: the shift stays under
+        # an ulp of the envelope sqrt(2/(pi x)), not of J0, which has zeros
+        one = np.array([sf.bessel_j0(float(x)) for x in self.X])
+        env = np.minimum(1.0, np.sqrt(2.0 / (math.pi * np.abs(self.X))))
+        assert np.all(np.abs(sf.bessel_j0(self.X) - one) <= np.spacing(env))
+
+
 class TestZeta:
     def test_at_zero(self):
         assert sf.zeta_at_negative(0) == -0.5
