@@ -3,14 +3,18 @@
 The base integrator is a vectorized adaptive Gauss-Legendre rule (21/43-point
 pairs, bisection on the worst interval).  Endpoint x^-nu singularities are
 removed by the substitution x = u^(1/(1-nu)); infinite tails are truncated by
-the declared decay bound, mapped for algebraic decay, and for oscillatory
-integrands summed between phase crossings with Wynn-epsilon acceleration
-(conditionally convergent e^{iax}- and Airy-type tails need this).  Principal
-values use singularity subtraction in the symmetric window around the pole.
+the declared decay bound, summed over geometric panels for algebraic decay,
+and for oscillatory integrands summed over half-period panels between phase
+crossings, with Wynn-epsilon and a power-ladder fit accelerating the partial
+sums (conditionally convergent e^{iax}- and Airy-type tails need this).  The
+panels between two estimator checks are evaluated in one integrand call.
+Principal values use singularity subtraction in the symmetric window around
+the pole.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,7 +50,12 @@ def _panel(f, a: float, b: float):
 
 
 def adaptive_quad(f, a: float, b: float, budget: QuadratureBudget) -> complex:
-    """Adaptive integral of a vectorized integrand over a finite interval."""
+    """Adaptive integral of a vectorized integrand over a finite interval.
+
+    A non-finite error estimate means f is not finite at a node, and no
+    bisection makes it finite again: the integral ends at once, with its
+    value if that is infinite and with nan otherwise.  Callers refuse both.
+    """
     if a == b:
         return 0.0
     val, err = _panel(f, a, b)
@@ -54,6 +63,8 @@ def adaptive_quad(f, a: float, b: float, budget: QuadratureBudget) -> complex:
     total = val
     total_err = err
     for _ in range(_MAX_SUBDIVISIONS):
+        if not math.isfinite(total_err):
+            return total if cmath.isinf(total) else math.nan
         tol = max(budget.abs_tol, budget.rel_tol * abs(total))
         if total_err <= tol:
             return total
@@ -154,6 +165,11 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     so full-period pairing plus a known-exponent power-ladder fit of the
     partial sums provides the second estimator.  Agreement of the two, or
     self-consistency of the fit across windows, is the stopping test.
+
+    f is called once per window: on the nodes of segments 0-16 before the
+    first check, then of the 8 segments before each further check.  Each
+    segment is still reduced on its own and summed in order, so the partial
+    sums are those of one call per segment.
     """
     c = tail.phase_coeff or 1.0
     q = tail.phase_power or 1.0

@@ -108,3 +108,106 @@ class TestTails:
     def test_tail_undeclared(self):
         with pytest.raises(pv.TailNotIntegrable):
             pv.tail_integral(lambda x: 1.0 / x, 1.0, fm.tail_none(), B)
+
+
+class TestAdaptiveNonFinite:
+    def test_nan_error_estimate_ends_at_once(self):
+        # nan on part of [0, 1]: the first panel's error estimate is nan and
+        # no bisection can make it finite
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return np.where(x > 0.5, np.nan, 1.0)
+
+        got = pv.adaptive_quad(f, 0.0, 1.0, B)
+        assert math.isnan(got)
+        assert len(calls) <= 3
+
+
+def _per_panel_tail(f, start, tail, budget, envelope_power):
+    """Reference for _oscillatory_tail: one f call per half-period panel.
+
+    Returns the tail and the number of estimator checks made.
+    """
+    c = tail.phase_coeff or 1.0
+    q = tail.phase_power or 1.0
+    phi0 = c * start ** q
+    gamma = max(envelope_power - 1.0, 0.25)
+    sums, rights = [], []
+    partial = 0.0 + 0.0j
+    left = start
+    best, best_err = None, math.inf
+    wynn_prev = fit_prev = None
+    checks = 0
+    for i in range(pv._MAX_SEGMENTS):
+        right = ((phi0 + (i + 1) * math.pi) / c) ** (1.0 / q)
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        partial += complex(np.sum(pv._GL_HI[1] * f(mid + half * pv._GL_HI[0])) * half)
+        left = right
+        sums.append(partial)
+        rights.append(right)
+        if i >= 16 and i % 8 == 0:
+            checks += 1
+            paired = 0.5 * (np.asarray(sums[:-1:2], dtype=complex)
+                            + np.asarray(sums[1::2], dtype=complex))
+            xs = np.asarray(rights[1::2], dtype=float)[:len(paired)]
+            n = len(paired)
+            fit = pv._power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma)
+            fit_b = pv._power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma)
+            wynn = pv._wynn_epsilon(sums[-17:])
+            err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
+                                          else math.inf)
+            err_wynn = abs(wynn - wynn_prev) if wynn_prev is not None else math.inf
+            wynn_prev, fit_prev = wynn, fit
+            est, err = (wynn, err_wynn) if err_wynn < err_fit else (fit, err_fit)
+            if err < best_err:
+                best, best_err = est, err
+            if err < max(budget.abs_tol, budget.rel_tol * abs(est)):
+                return est, checks
+    return best, checks
+
+
+def _j0_squared_tail():
+    # non-oscillatory mean ~ 1/(pi a x): the power-ladder fit's case
+    f = fm.builtin("j0_squared", a=1.0426)
+    return (lambda x: 0.5 * f.evaluate(x) / ((0.5 + x) * (0.5 - x))), 3.0, f.tail, 3.0
+
+
+def _j0_squared_slow_tail():
+    # envelope x^-2 with that mean: no estimator meets the tolerance, so
+    # every window up to the last check is summed and the best estimate kept
+    f = fm.builtin("j0_squared", a=1.0426)
+    return (lambda x: f.evaluate(x) / (0.5 - x)), 3.0, f.tail, 2.0
+
+
+def _exp_osc_tail():
+    f = fm.builtin("exp_osc", a=1.3)
+    return (lambda x: f.evaluate(x) / (0.7 - x)), 2.0, f.tail, 1.0
+
+
+def _airy_reflected_tail():
+    # the negative-axis piece of a full-line Airy transform: Ai(-ax) x^-nu/(w+x)
+    fr = fm.builtin("airy", a=1.1).reflect()
+    nu = 0.3
+    return (lambda x: fr.evaluate(x) * x ** -nu / (0.6 + x)), 2.0, fr.tail, 1.25 + nu
+
+
+class TestWindowedTail:
+    @pytest.mark.parametrize("case", [_j0_squared_tail, _j0_squared_slow_tail, _exp_osc_tail,
+                                      _airy_reflected_tail])
+    def test_equals_per_panel_loop(self, case):
+        g, start, tail, power = case()
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return g(x)
+
+        got = pv._oscillatory_tail(counted, start, tail, B, power)
+        want, checks = _per_panel_tail(g, start, tail, B, power)
+        assert got == want
+        # one call per estimator check: segments 0-16, then 8 at a time
+        assert len(calls) == checks
+        assert sum(calls) == 43 * (17 + 8 * (checks - 1))
