@@ -166,10 +166,11 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     partial sums provides the second estimator.  Agreement of the two, or
     self-consistency of the fit across windows, is the stopping test.
 
-    f is called once per window: on the nodes of segments 0-16 before the
-    first check, then of the 8 segments before each further check.  Each
-    segment is still reduced on its own and summed in order, so the partial
-    sums are those of one call per segment.
+    The segment edges depend only on the phase, so f is called once per
+    window: on the nodes of segments 0-16 before the first check, then of the
+    8 segments before each further check.  Each segment is still reduced on
+    its own and summed in order, so the partial sums are those of one call
+    per segment.
     """
     c = tail.phase_coeff or 1.0
     q = tail.phase_power or 1.0
@@ -183,8 +184,6 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     best_err = math.inf
     wynn_prev = None
     fit_prev = None
-    # the panel edges depend only on the phase, so each window of panels up to
-    # the next estimator check (segments 0-16, then 8 at a time) is one f call
     for i in range(16, _MAX_SEGMENTS, 8):
         window = [((phi0 + (k + 1) * math.pi) / c) ** (1.0 / q)
                   for k in range(len(rights), i + 1)]
