@@ -471,9 +471,9 @@ def _airy_series_arr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         done = np.abs(tf) + np.abs(tg) < 1e-18 * (np.abs(f) + np.abs(g) + 1e-30)
         if done.all():
             break
-        # a converged point's terms become 0, so the other points of the
-        # array do not change its value
-        tf[done] = tg[done] = vg[done] = uf[done] = 0.0
+        # every term carries a factor z3: a converged point's further terms
+        # are 0, so the other points of the array do not change its value
+        z3[done] = 0.0
     ai = _AI0 * f + _AIP0 * g
     aip = _AI0 * fd + _AIP0 * gd
     return ai, aip
@@ -503,13 +503,14 @@ def _airy_asym_pos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the series diverges: each point stops at its own first growing term, so
     # its value does not depend on the other points of the array
     for kk, (u, v) in enumerate(zip(_AIRY_U, _AIRY_V)):
-        t = ((-1.0) ** kk) * p
-        mag = np.abs(t) * abs(u)
+        mag = np.abs(p) * abs(u)
         live &= ~(mag > prev)
         if not live.any():
             break
-        s_ai += np.where(live, t * u, 0.0)
-        s_aip += np.where(live, t * v, 0.0)
+        p = p * live
+        t = ((-1.0) ** kk) * p
+        s_ai += t * u
+        s_aip += t * v
         prev = mag
         p = p * inv
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x ** 0.25)
