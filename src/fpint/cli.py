@@ -87,22 +87,28 @@ def _cx(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
+def _write(args, text: str) -> None:
+    """Write text, ended by a newline, to --out or else to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, payload_json: dict, csv_rows: list[list], csv_header: list[str]) -> None:
     if not args.hash_mode:
         payload_json["timestamp"] = datetime.now(timezone.utc).isoformat()
     if args.format == "json":
-        text = json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload_json, indent=2, sort_keys=True)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def _precision(args) -> PrecisionConfig:
@@ -195,15 +201,8 @@ def _cmd_verify(args) -> int:
         raise SchemaError(f"no catalog items match {args.items!r}")
     reports = catalog.verify_many(wanted, tolerance=args.tol, seed=args.seed)
     timestamp = None if args.hash_mode else datetime.now(timezone.utc).isoformat()
-    if args.format == "json":
-        text = catalog.reports_to_json(reports, timestamp)
-    else:
-        text = catalog.reports_to_csv(reports)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    _write(args, catalog.reports_to_json(reports, timestamp) if args.format == "json"
+           else catalog.reports_to_csv(reports))
     n_pass = sum(1 for r in reports if r.passed)
     print(f"verified {len(reports)} items: {n_pass} passed, "
           f"{len(reports) - n_pass} failed", file=sys.stderr)
@@ -221,10 +220,11 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=None,
-                   help="series relative tolerance override")
-    p.add_argument("--max-terms", type=int, default=None, help="series term cap")
+def _add_common(p: argparse.ArgumentParser, series: bool = False) -> None:
+    if series:                  # read only by the evaluators
+        p.add_argument("--rel-tol", type=float, default=None,
+                       help="series relative tolerance override")
+        p.add_argument("--max-terms", type=int, default=None, help="series term cap")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--hash-mode", action="store_true",
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--nu", type=float, default=0.0)
     p.add_argument("--upper", default="inf")
-    _add_common(p)
+    _add_common(p, series=True)
     p.set_defaults(func=_cmd_eval_fp, required_fields=("function", "k"))
 
     p = sub.add_parser("eval-hilbert", help="evaluate a transform variant")
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=0.0)
     p.add_argument("--omega", default=None, help="scalar or start:stop:count")
     p.add_argument("--upper", default="inf")
-    _add_common(p)
+    _add_common(p, series=True)
     p.set_defaults(func=_cmd_eval_hilbert,
                    required_fields=("variant", "function", "omega"))
 

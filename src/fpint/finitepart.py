@@ -217,22 +217,19 @@ def fp_quartic(beta: float, omega_j: float, k: int, method: str = "auto") -> flo
         raise DomainError("fp_quartic needs omega_j > 0")
     if k < 0 or int(k) != k:
         raise DomainError("k must be a non-negative integer")
+    if method not in ("auto", "three_branch", "unified"):
+        raise DomainError(f"unknown method {method!r}")
     wpow = omega_j ** (-(2 * k + 5))
-    if method == "unified" or (method == "auto"
-                               and (abs(beta) < 1e-8 or abs(beta + 1.0) < 1e-8)):
+    # at beta = -1 the real-root form divides by a zero root: the unified form
+    if method == "unified" or beta == -1.0 or (
+            method == "auto" and (abs(beta) < 1e-8 or abs(beta + 1.0) < 1e-8)):
         s_k = _quartic_binomial_sum(k, 2.0 * beta)
         s_k1 = _quartic_binomial_sum(k + 1, 2.0 * beta)
         return math.pi * wpow / (2.0 * math.sqrt(2.0 * (1.0 - beta))) * (s_k1 - s_k)
-    if method not in ("auto", "three_branch"):
-        raise DomainError(f"unknown method {method!r}")
     if beta > -1.0:
         # both signs of beta collapse onto one expression via atan2
         phi = math.atan2(math.sqrt(1.0 - beta * beta), beta)
         return 0.5 * math.pi * wpow * math.cos(phi * (k + 1.5)) / math.sin(phi)
-    if beta == -1.0:
-        s_k = _quartic_binomial_sum(k, -2.0)
-        s_k1 = _quartic_binomial_sum(k + 1, -2.0)
-        return math.pi * wpow / (2.0 * math.sqrt(4.0)) * (s_k1 - s_k)
     root = math.sqrt(beta * beta - 1.0)
     a_big = -beta + root
     b_small = -beta - root

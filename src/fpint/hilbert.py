@@ -22,7 +22,8 @@ The Stieltjes and one-sided kernels have one arm of step 1.  The symmetric
 kernels, and the full-line kernels when g is even, share the two-arm parity
 form (c_even, c_odd): step 2 over odd (j = 1) and even (j = 2) kernel
 indices.  The full-line kernels for g of no parity have one arm of step 1
-whose h combines g(-x) and g(x).
+whose h combines g(x) and g(-x), the latter times the kernel's weight on
+x < 0 (pvoracle.neg_weight, the one place that weight is written).
 
 The small-omega leading term is the lowest power of omega (a log wins a tie)
 among the singular term, which for g of zero order n starts at
@@ -50,7 +51,7 @@ from .errors import ConvergenceDomain, DomainError, FpintError, ProvisoViolated
 from .finitepart import FpValue, resolve_fp, snap_nu
 from .funcmodel import AnalyticFunction, factor_zero, scaled
 from .precision import PrecisionConfig, default_precision, sum_series
-from .pvoracle import regular_integral
+from .pvoracle import neg_weight, regular_integral
 
 VARIANTS = ("stieltjes", "one_sided", "full_line", "full_line_sgn",
             "full_line_branch", "full_line_abs", "full_line_abs_sgn",
@@ -59,7 +60,6 @@ VARIANTS = ("stieltjes", "one_sided", "full_line", "full_line_sgn",
 _POSITIVE_OMEGA = {"stieltjes", "one_sided", "sym_omega", "sym_x"}
 _NU_REQUIRED = {"full_line_branch", "full_line_abs", "full_line_abs_sgn"}
 _NU_FORBIDDEN = {"full_line", "full_line_sgn"}
-_SGN = {"full_line_sgn", "full_line_abs_sgn"}
 _FP_MODES = ("auto", "generic")
 
 OMEGA_MARGIN = 0.99
@@ -112,7 +112,8 @@ class EvalReport:
 class _Arm:
     """Series arm sum_k c z^(p + step k) ffp_0^a h_k(x) x^-(j + step k + nu) dx.
 
-    h_k = g, or (-1)^k w g(-x) + s g(x) when gneg (x -> g(-x)) is set.
+    h_k = g, or (-1)^k w g(-x) - g(x) when gneg (x -> g(-x)) is set, with w
+    the kernel's weight on x < 0.
     """
 
     c: complex
@@ -123,7 +124,6 @@ class _Arm:
     j: int = 1
     gneg: AnalyticFunction | None = None
     w: complex = 1.0
-    s: float = -1.0
 
 
 def _prefix_integral(arm: _Arm, k: int, nu: float, a: float) -> complex:
@@ -133,7 +133,7 @@ def _prefix_integral(arm: _Arm, k: int, nu: float, a: float) -> complex:
     def integrand(x: np.ndarray):
         if arm.gneg is None:
             return x ** power * g.evaluate(x)
-        return x ** power * ((-1.0) ** k * arm.w * g.evaluate(-x) + arm.s * g.evaluate(x))
+        return x ** power * ((-1.0) ** k * arm.w * g.evaluate(-x) - g.evaluate(x))
 
     return regular_integral(integrand, 0.0, a, endpoint_nu=max(0.0, -power),
                             tail=g.tail, tail_extra_power=-power)
@@ -171,7 +171,7 @@ class _Engine:
                 cached.append((pos.value, max(1.0, pos.cancellation)))
             else:
                 neg, pos = self._resolve(arm.gneg, n), self._resolve(arm.g, n)
-                cached.append(((-1.0) ** k * arm.w * neg.value + arm.s * pos.value,
+                cached.append(((-1.0) ** k * arm.w * neg.value - pos.value,
                                max(1.0, neg.cancellation, pos.cancellation)))
         return cached[k]
 
@@ -255,18 +255,19 @@ def _arms(v: str, f: AnalyticFunction, g: AnalyticFunction, m: int,
         # j = 1 arm carries omega^(m + 2k), the j = 2 arm omega^(m + 1 + 2k)
         c_even, c_odd = (-1.0, 0.0) if m % 2 == int(v == "sym_omega") else (0.0, -1.0)
     elif g.parity == "even" and not force_generic_parity:
+        # g even makes the generic h_k ((-1)^k w - 1) g: c_even = w - 1, c_odd = -1 - w
+        # (half-angle forms for the branch kernel, where w - 1 cancels as nu -> 0)
         notes.append("even-parity reduction")
         if v == "full_line_branch":
             half = cmath.exp(-0.5j * math.pi * nu)
             c_even = -2j * math.sin(0.5 * math.pi * nu) * half
             c_odd = -2.0 * math.cos(0.5 * math.pi * nu) * half
         else:
-            c_even, c_odd = (-2.0, 0.0) if v in _SGN else (0.0, -2.0)
+            w = neg_weight(v, nu)
+            c_even, c_odd = w - 1.0, -1.0 - w
     else:
-        # sum_k -s omega^(m+k) ffp [(-1)^k w g(-x) + s g(x)] x^-(k+1+nu)
-        s = 1.0 if v in _SGN else -1.0
-        w = cmath.exp(-1j * math.pi * nu) if v == "full_line_branch" else 1.0
-        return [_Arm(-s, 1.0, m, g, gneg=_reflected_g(f, m, g), w=w, s=s)]
+        # sum_k omega^(m+k) ffp [(-1)^k w g(-x) - g(x)] x^-(k+1+nu)
+        return [_Arm(1.0, 1.0, m, g, gneg=_reflected_g(f, m, g), w=neg_weight(v, nu))]
     return [_Arm(c, 1.0, m + j - 1, g, 2, j)
             for c, j in ((c_even, 1), (c_odd, 2)) if c != 0.0]
 
@@ -297,7 +298,8 @@ def _singular(v: str, g: AnalyticFunction, m: int, omega: float, nu: float,
         if omega > 0:
             return -1j * math.pi, 0.0, False
         notes.append("omega < 0: power continued above the branch cut")
-        return -1j * math.pi * cmath.exp(-1j * math.pi * nu), 0.0, False
+        return -1j * math.pi * neg_weight(v, nu), 0.0, False
+    # abs kernels: pi (w - cos pi nu) / sin pi nu, in half-angle form to avoid cancellation
     if v == "full_line_abs":
         return math.pi * math.tan(0.5 * math.pi * nu) * math.copysign(1.0, omega), 0.0, False
     return -math.pi / math.tan(0.5 * math.pi * nu), 0.0, False

@@ -9,7 +9,9 @@ crossings, with Wynn-epsilon and a power-ladder fit accelerating the partial
 sums (conditionally convergent e^{iax}- and Airy-type tails need this).  The
 panels between two estimator checks are evaluated in one integrand call.
 Principal values use singularity subtraction in the symmetric window around
-the pole.
+the pole.  The transform oracle splits a full-line kernel at the origin into
+two half-line integrals; the kernel enters only by its weight on x < 0
+(neg_weight).
 """
 
 from __future__ import annotations
@@ -287,10 +289,10 @@ def regular_integral(f, lo: float, hi: float,
     """Adaptive integral with optional endpoint exponent at lo and declared tail."""
     budget = budget or QuadratureBudget()
     if hi == math.inf:
-        split = max(2.0 * abs(lo), lo + 1.0, 1.0)
-        head = quad_power_endpoint(f, lo, split, endpoint_nu, budget)
         if tail is None:
             raise TailNotIntegrable("infinite upper limit requires a tail declaration")
+        split = max(2.0 * abs(lo), lo + 1.0, 1.0)
+        head = quad_power_endpoint(f, lo, split, endpoint_nu, budget)
         return head + tail_integral(f, split, tail, budget, tail_extra_power)
     return quad_power_endpoint(f, lo, hi, endpoint_nu, budget)
 
@@ -330,6 +332,8 @@ def pv_linear(h, omega: float, lo: float, hi: float,
         raise DomainError("pv_linear expects finite lo; reflect the negative half-line")
     if not (lo < omega < hi):
         raise DomainError("pole must lie strictly inside (lo, hi)")
+    if hi == math.inf and tail is None:
+        raise TailNotIntegrable("hi = inf requires a tail declaration for h")
     d = 0.5 * min(omega - lo, (hi - omega) if hi != math.inf else 1.0, 1.0)
     out = _pv_core(h, omega, d, budget)
 
@@ -341,8 +345,6 @@ def pv_linear(h, omega: float, lo: float, hi: float,
     if hi == math.inf:
         split = omega + max(1.0, omega)
         out += adaptive_quad(kern, omega + d, split, budget)
-        if tail is None:
-            raise TailNotIntegrable("hi = inf requires a tail declaration for h")
         out += tail_integral(kern, split, tail, budget, extra_power=tail_extra_power)
     else:
         out += adaptive_quad(kern, omega + d, hi, budget)
@@ -368,7 +370,8 @@ def pv_quadratic(h, omega: float, hi: float, weight: str, nu: float,
         w = omega if weight == "omega_over" else x
         return w * h(x) * x ** (-nu) / (omega + x)
 
-    eff_nu = nu if weight == "omega_over" else max(nu - 1.0, 0.0)
+    # x_over: x^(1-nu) is bounded at the origin
+    eff_nu = nu if weight == "omega_over" else 0.0
     extra = 2.0 + nu if weight == "omega_over" else 1.0 + nu
     return pv_linear(phi, omega, 0.0, hi, budget, tail,
                      endpoint_nu=eff_nu, tail_extra_power=extra)
@@ -378,78 +381,73 @@ def pv_quadratic(h, omega: float, hi: float, weight: str, nu: float,
 # Transform-shaped oracle
 # ---------------------------------------------------------------------------
 
-def _as_eval(f: AnalyticFunction):
-    def ev(x: np.ndarray):
-        return f.evaluate(np.asarray(x, dtype=float))
-    return ev
+def neg_weight(variant: str, nu: float) -> complex:
+    """Weight w of a full-line kernel on x < 0: the kernel is x^-nu on x > 0
+    and w |x|^-nu on x < 0, times 1/(omega - x)."""
+    if variant == "full_line_branch":
+        return cmath.exp(-1j * math.pi * nu)     # x^-nu on the principal branch
+    if variant in ("full_line", "full_line_abs"):
+        return 1.0
+    if variant in ("full_line_sgn", "full_line_abs_sgn"):
+        return -1.0
+    raise DomainError(f"unknown variant {variant!r}")
 
 
 def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
                  a: float, budget: QuadratureBudget | None = None) -> complex:
-    """Brute-force PV value of one transform variant (ground truth at desk scale)."""
-    budget = budget or QuadratureBudget()
-    fe = _as_eval(f)
-    if variant == "stieltjes":
-        def g(x: np.ndarray):
-            return fe(x) * x ** (-nu) / (omega + x) if nu > 0 else fe(x) / (omega + x)
-        return regular_integral(g, 0.0, a, endpoint_nu=nu, budget=budget,
-                                tail=f.tail, tail_extra_power=1.0 + nu)
-    if variant == "one_sided":
-        def h(x: np.ndarray):
-            return fe(x) * x ** (-nu) if nu > 0 else fe(x)
-        return pv_linear(h, omega, 0.0, a, budget=budget, tail=f.tail,
-                         endpoint_nu=nu, tail_extra_power=1.0 + nu)
-    if variant == "sym_omega":
-        return pv_quadratic(fe, omega, a, "omega_over", nu, budget=budget, tail=f.tail)
-    if variant == "sym_x":
-        return pv_quadratic(fe, omega, a, "x_over", nu, budget=budget, tail=f.tail)
+    """Brute-force PV value of one transform variant (ground truth at desk scale).
 
-    # full-line variants: split at the origin into a reflected regular piece
-    # plus a half-line principal value (negative omega handled by mirroring)
-    if variant == "full_line":
-        if omega < 0:
-            return -pv_transform("full_line", f.reflect(), 0.0, -omega, a, budget)
-        fr = _as_eval(f.reflect())
-        stielt = regular_integral(lambda x: fr(x) / (omega + x), 0.0, a,
-                                  budget=budget, tail=f.tail_neg, tail_extra_power=1.0)
-        return stielt + pv_linear(fe, omega, 0.0, a, budget=budget, tail=f.tail)
-    if variant == "full_line_sgn":
-        if omega < 0:
-            return pv_transform("full_line_sgn", f.reflect(), 0.0, -omega, a, budget)
-        fr = _as_eval(f.reflect())
-        stielt = regular_integral(lambda x: fr(x) / (omega + x), 0.0, a,
-                                  budget=budget, tail=f.tail_neg, tail_extra_power=1.0)
-        return -stielt + pv_linear(fe, omega, 0.0, a, budget=budget, tail=f.tail)
-    if variant in ("full_line_branch", "full_line_abs", "full_line_abs_sgn"):
-        if not 0.0 < nu < 1.0:
+    The symmetric kernels are pv_quadratic's; every other variant is made of
+    two integrals at the pole |omega|:
+
+        pv(g)  = PV int_0^a g(x) x^-nu / (|omega| - x) dx,
+        reg(g) = int_0^a g(x) x^-nu / (|omega| + x) dx.
+
+    stieltjes is reg(f) and one_sided is pv(f), both for omega > 0.  A
+    full-line kernel with weight w on x < 0 (neg_weight) splits at the
+    origin; with fr(x) = f(-x) it is
+
+        w reg(fr) + pv(f)      for omega > 0,
+        -reg(f) - w pv(fr)     for omega < 0.
+
+    A non-finite value, which comes from a pole of f on the range (for the
+    full-line kernels, on [-a, 0)), is refused.
+    """
+    budget = budget or QuadratureBudget()
+    half_line = variant in ("stieltjes", "one_sided", "sym_omega", "sym_x")
+    if half_line and not omega > 0.0:
+        raise DomainError(f"{variant} needs omega > 0")
+    if not half_line:
+        w = neg_weight(variant, nu)
+        if variant in ("full_line", "full_line_sgn") and nu != 0.0:
+            raise DomainError(f"{variant} is the nu = 0 kernel")
+        if variant not in ("full_line", "full_line_sgn") and not 0.0 < nu < 1.0:
             raise DomainError(f"{variant} needs 0 < nu < 1")
-        if variant == "full_line_branch":
-            neg_weight = np.exp(-1j * math.pi * nu)
-        elif variant == "full_line_abs":
-            neg_weight = 1.0
-        else:
-            neg_weight = -1.0
-        if omega < 0:
-            # mirror x -> -x: the pole moves to -omega on the positive axis
-            if variant == "full_line_branch":
-                fr = f.reflect()
-                fre = _as_eval(fr)
-                pole = pv_linear(lambda x: fre(x) * x ** (-nu), -omega, 0.0, a,
-                                 budget=budget, tail=fr.tail, endpoint_nu=nu,
-                                 tail_extra_power=1.0 + nu)
-                reg = regular_integral(lambda x: fe(x) * x ** (-nu) / (omega - x),
-                                       0.0, a, endpoint_nu=nu, budget=budget,
-                                       tail=f.tail, tail_extra_power=1.0 + nu)
-                return reg - neg_weight * pole
-            mirrored = pv_transform(variant, f.reflect(), nu, -omega, a, budget)
-            return -mirrored if variant == "full_line_abs" else mirrored
-        fr = f.reflect()
-        fre = _as_eval(fr)
-        stielt = regular_integral(lambda x: fre(x) * x ** (-nu) / (omega + x), 0.0, a,
-                                  endpoint_nu=nu, budget=budget,
-                                  tail=fr.tail, tail_extra_power=1.0 + nu)
-        pv = pv_linear(lambda x: fe(x) * x ** (-nu), omega, 0.0, a,
-                       budget=budget, tail=f.tail, endpoint_nu=nu,
-                       tail_extra_power=1.0 + nu)
-        return neg_weight * stielt + pv
-    raise DomainError(f"unknown variant {variant!r}")
+    pole = abs(omega)
+
+    def weighted(g: AnalyticFunction):
+        return (lambda x: g.evaluate(x) * x ** (-nu)) if nu > 0 else g.evaluate
+
+    def pv(g: AnalyticFunction) -> complex:
+        return pv_linear(weighted(g), pole, 0.0, a, budget=budget, tail=g.tail,
+                         endpoint_nu=nu, tail_extra_power=1.0 + nu)
+
+    def reg(g: AnalyticFunction) -> complex:
+        h = weighted(g)
+        return regular_integral(lambda x: h(x) / (pole + x), 0.0, a, endpoint_nu=nu,
+                                budget=budget, tail=g.tail, tail_extra_power=1.0 + nu)
+
+    if variant in ("sym_omega", "sym_x"):
+        weight = "omega_over" if variant == "sym_omega" else "x_over"
+        value = pv_quadratic(f.evaluate, omega, a, weight, nu, budget=budget, tail=f.tail)
+    elif variant == "stieltjes":
+        value = reg(f)
+    elif variant == "one_sided":
+        value = pv(f)
+    elif omega > 0.0:
+        value = w * reg(f.reflect()) + pv(f)
+    else:
+        value = -reg(f) - w * pv(f.reflect())
+    if not cmath.isfinite(value):
+        raise DomainError(f"{variant} is not finite: f has a pole on the range")
+    return value

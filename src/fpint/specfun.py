@@ -223,8 +223,7 @@ def incomplete_gamma_upper(s: float, x: float | complex) -> float | complex:
     if xc == 0:
         if s <= 0.0:
             raise DomainError("Gamma(s, 0) diverges for s <= 0")
-        out = math.gamma(s)
-        return out if isinstance(x, complex) else out
+        return math.gamma(s)
     if s <= 0.0:
         # Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s
         n_shift = int(math.floor(1.0 - s))

@@ -210,6 +210,16 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "DomainError" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["asym", "--variant", "one-sided", "--function", "exp_decay:a=1", "--rel-tol", "1e-3"],
+        ["verify", "--items", "D.19", "--rel-tol", "1e-3"],
+        ["list", "--max-terms", "50"]])
+    def test_series_options_only_on_evaluators(self, capsys, argv):
+        # only eval-fp and eval-hilbert read --rel-tol / --max-terms
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
     def test_numerical_failure(self, capsys):
         # omega at the convergence boundary: named numerical failure, exit 3
         code, _, err = run(capsys, [
@@ -260,6 +270,12 @@ class TestJobFile:
         code, out, _ = run(capsys, [
             "eval-hilbert", "--job", str(job), "--omega", "0.4"])
         assert json.loads(out)["results"][0]["omega"] == 0.4
+
+    def test_series_field_refused_on_verify(self, capsys, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"items": "D.19", "rel_tol": 1e-3}))
+        code, out, _ = run(capsys, ["verify", "--job", str(job)])
+        assert (code, out) == (2, "")
 
     def test_unknown_job_field(self, capsys, tmp_path):
         job = tmp_path / "job.json"

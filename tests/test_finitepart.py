@@ -164,6 +164,8 @@ class TestQuartic:
     def test_domain(self):
         with pytest.raises(DomainError):
             fp.fp_quartic(1.2, 1.0, 0)
+        with pytest.raises(DomainError):      # also where every method is one form
+            fp.fp_quartic(-1.0, 1.0, 0, method="bogus")
 
 
 class TestCatalogClosedForms:

@@ -271,7 +271,8 @@ class TestOracleGrid:
             if variant.startswith("full_line") and f.tail_neg.kind == "none":
                 continue          # one-sided-only integrands
             scale = min(f.rho0, 1.0)
-            for frac in (0.1, 0.3, 0.5):
+            # the full-line kernels are defined for omega < 0 too
+            for frac in (0.1, 0.3, 0.5) + ((-0.3,) if variant.startswith("full_line") else ()):
                 w = frac * scale
                 got = hb.evaluate_transform(
                     hb.TransformSpec(variant, w, nu, math.inf), f).value

@@ -49,7 +49,7 @@ class TestPvLinear:
         assert rel(got, 0.27549829855127026213) < 1e-9
 
     @pytest.mark.parametrize("a_param", [-2.0, -1.0, 1.0, 2.0])
-    @pytest.mark.parametrize("omega", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 3.0, -0.5, -3.0])
     def test_oscillatory_full_line(self, a_param, omega):
         # PV over the whole line of e^{iax}/(w-x) = -i pi sgn(a) e^{iaw}
         f = fm.builtin("exp_osc", a=a_param)
@@ -60,6 +60,39 @@ class TestPvLinear:
     def test_pole_must_be_interior(self):
         with pytest.raises(pv.DomainError):
             pv.pv_linear(lambda x: np.ones_like(x), 3.0, 0.0, 2.0)
+
+
+class TestTransformOracle:
+    @pytest.mark.parametrize("name,kw", [("gaussian", dict(a=1.0)),
+                                         ("sqrt_inv_quad", dict(a=1.5)),
+                                         ("j0_squared", dict(a=1.0))])
+    @pytest.mark.parametrize("variant,nu,sign", [
+        ("full_line", 0.0, -1.0), ("full_line_sgn", 0.0, 1.0),
+        ("full_line_abs", 0.3, -1.0), ("full_line_abs_sgn", 0.3, 1.0)])
+    def test_even_f_mirrors_omega(self, name, kw, variant, nu, sign):
+        # for even f the kernel's parity in x carries over to omega, exactly
+        f = fm.builtin(name, **kw)
+        got = pv.pv_transform(variant, f, nu, -0.4, math.inf)
+        assert got == sign * pv.pv_transform(variant, f, nu, 0.4, math.inf)
+
+    @pytest.mark.parametrize("omega", [-0.4, 0.0])
+    def test_half_line_kernel_refuses_omega_not_positive(self, omega):
+        f = fm.builtin("exp_decay", a=1.0)
+        with pytest.raises(pv.DomainError):
+            pv.pv_transform("stieltjes", f, 0.3, omega, math.inf)
+
+    @pytest.mark.parametrize("variant", ["full_line", "full_line_sgn"])
+    def test_nu_zero_kernel_refuses_nu(self, variant):
+        f = fm.builtin("gaussian", a=1.0)
+        with pytest.raises(pv.DomainError):
+            pv.pv_transform(variant, f, 0.3, 0.4, math.inf)
+
+    @pytest.mark.parametrize("omega", [0.4, -0.4])
+    def test_pole_on_negative_range_refused(self, omega):
+        # inv_cubic c=1 has its pole at x = -1, inside [-2, 0)
+        f = fm.builtin("inv_cubic", c=1.0)
+        with pytest.raises(pv.DomainError):
+            pv.pv_transform("full_line", f, 0.0, omega, 2.0)
 
 
 class TestPvQuadratic:
