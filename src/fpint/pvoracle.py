@@ -48,6 +48,8 @@ def _panel(f, a: float, b: float):
     half = 0.5 * (b - a)
     lo = np.sum(_GL_LO[1] * f(mid + half * _GL_LO[0])) * half
     hi = np.sum(_GL_HI[1] * f(mid + half * _GL_HI[0])) * half
+    if not cmath.isfinite(hi):
+        return hi, math.inf          # inf - inf would be nan, with a warning
     return hi, abs(hi - lo)
 
 
@@ -393,6 +395,20 @@ def neg_weight(variant: str, nu: float) -> complex:
     raise DomainError(f"unknown variant {variant!r}")
 
 
+def _odd_over_x(f: AnalyticFunction, a: float, budget: QuadratureBudget) -> complex:
+    """int_0^a (f(x) - f(-x)) / x dx: one integrand up to min(1, a), then
+    f(x)/x and f(-x)/x apart, so that each keeps its own declared tail."""
+    fr = f.reflect()
+    s = min(1.0, a)
+    value = adaptive_quad(lambda x: (f.evaluate(x) - fr.evaluate(x)) / x, 0.0, s, budget)
+    if a > s:
+        for g, sign in ((f, 1.0), (fr, -1.0)):
+            value += sign * regular_integral(lambda x, g=g: g.evaluate(x) / x, s, a,
+                                             budget=budget, tail=g.tail,
+                                             tail_extra_power=1.0)
+    return value
+
+
 def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
                  a: float, budget: QuadratureBudget | None = None) -> complex:
     """Brute-force PV value of one transform variant (ground truth at desk scale).
@@ -410,6 +426,9 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
         w reg(fr) + pv(f)      for omega > 0,
         -reg(f) - w pv(fr)     for omega < 0.
 
+    full_line alone is defined at omega = 0, where it is the pole-free
+    -int_0^a (f(x) - fr(x)) / x dx.
+
     A non-finite value, which comes from a pole of f on the range (for the
     full-line kernels, on [-a, 0)), is refused.
     """
@@ -423,6 +442,8 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
             raise DomainError(f"{variant} is the nu = 0 kernel")
         if variant not in ("full_line", "full_line_sgn") and not 0.0 < nu < 1.0:
             raise DomainError(f"{variant} needs 0 < nu < 1")
+        if omega == 0.0 and variant != "full_line":
+            raise DomainError(f"{variant} is singular at omega = 0")
     pole = abs(omega)
 
     def weighted(g: AnalyticFunction):
@@ -444,6 +465,8 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
         value = reg(f)
     elif variant == "one_sided":
         value = pv(f)
+    elif omega == 0.0:
+        value = -_odd_over_x(f, a, budget)
     elif omega > 0.0:
         value = w * reg(f.reflect()) + pv(f)
     else:

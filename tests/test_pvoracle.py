@@ -95,6 +95,38 @@ class TestTransformOracle:
             pv.pv_transform("full_line", f, 0.0, omega, 2.0)
 
 
+class TestFullLineAtOmegaZero:
+    # full_line at omega = 0 is -int_0^a (f(x) - f(-x)) / x dx, pole-free
+    @pytest.mark.parametrize("name,kw,want", [
+        ("sin", dict(a=1.0), -math.pi),
+        ("exp_osc", dict(a=1.0), -1j * math.pi),
+        ("exp_osc", dict(a=-2.0), 1j * math.pi),
+        ("gaussian", dict(a=1.0), 0.0),
+    ])
+    def test_whole_line_against_exact(self, name, kw, want):
+        from fpint import hilbert as hb
+        f = fm.builtin(name, **kw)
+        got = pv.pv_transform("full_line", f, 0.0, 0.0, math.inf)
+        assert abs(got - want) < 1e-11
+        assert abs(got - hb.full_line(f, 0.0).value) < 1e-11
+
+    def test_asymmetric_f_on_finite_range(self):
+        # exp(-x): -int_0^2 (e^-x - e^x)/x dx = 2 Shi(2)
+        import mpmath as mp
+        from fpint import hilbert as hb
+        f = fm.builtin("exp_decay", a=1.0)
+        got = pv.pv_transform("full_line", f, 0.0, 0.0, 2.0)
+        assert rel(got, 2.0 * float(mp.shi(2))) < 1e-12
+        assert rel(got, hb.full_line(f, 0.0, a=2.0).value) < 1e-12
+
+    @pytest.mark.parametrize("variant,nu", [("full_line_sgn", 0.0), ("full_line_abs", 0.3),
+                                            ("full_line_branch", 0.3)])
+    def test_other_full_line_kernels_refuse(self, variant, nu):
+        f = fm.builtin("gaussian", a=1.0)
+        with pytest.raises(pv.DomainError):
+            pv.pv_transform(variant, f, nu, 0.0, math.inf)
+
+
 class TestPvQuadratic:
     def test_truncated_constant(self):
         # PV int_0^{2w} w/(w^2-x^2) dx = (1/2) ln 3

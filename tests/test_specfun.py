@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,3 +255,136 @@ class TestZeta:
     def test_bernoulli(self):
         assert rel(sf.bernoulli_even(1), 1.0 / 6.0) < 1e-15
         assert rel(sf.bernoulli_even(4), -1.0 / 30.0) < 1e-15
+
+
+class TestJ0Accuracy:
+    # J0 against mpmath on the envelope min(1, sqrt(2/(pi x))) scale: J0 has
+    # zeros, so a relative error says nothing near them
+    X = np.concatenate([np.linspace(0.0, 40.0, 801),
+                        [9.01, 10.0, 12.4, 12.5, 12.6, 15.0, 18.55, 19.5, 21.3]])
+
+    def test_against_mpmath(self):
+        import mpmath as mp
+        with mp.workdps(30):
+            want = np.array([float(mp.besselj(0, x)) for x in self.X])
+        env = np.minimum(1.0, np.sqrt(2.0 / (math.pi * np.maximum(self.X, 1e-300))))
+        err = np.abs(sf.bessel_j0(self.X) - want) / env
+        assert err.max() < 1e-11, (err.max(), self.X[err.argmax()])
+
+    def test_scalar_matches_array(self):
+        got = sf.bessel_j0(self.X)
+        assert all(sf.bessel_j0(float(x)) == g for x, g in zip(self.X, got))
+
+    def test_bitwise_array_independent(self):
+        x = TestArrayIndependence.X
+        one = np.array([sf.bessel_j0(float(v)) for v in x])
+        assert np.array_equal(sf.bessel_j0(x), one)
+
+
+class TestAiryNearCrossover:
+    # Error at the earlier kernels (loops of term recurrences, same crossovers):
+    # relative for x > 0, on the envelope |x|^(-/+1/4)/sqrt(pi) for x < 0
+    # (Ai, Ai').  The bound is that error with half again for rounding, as
+    # the Horner kernels sum the same terms in another order; near x = -6
+    # both sit at the series' cancellation floor, about 1e-16 of its
+    # largest term.
+    EARLIER = {
+        5.99: (8.6e-8, 1.1e-7), -5.99: (1.8e-13, 9.9e-14),
+        6.001: (1.4e-10, 1.4e-10), -6.001: (9.6e-11, 3.7e-10),
+        8.0: (4.3e-15, 4.2e-15), -8.0: (4.2e-15, 5.5e-15),
+        9.5: (3.0e-15, 2.9e-15),
+    }
+
+    @pytest.mark.parametrize("x", sorted(EARLIER))
+    def test_no_worse_than_earlier(self, x):
+        import mpmath as mp
+        with mp.workdps(30):
+            ai, aip = float(mp.airyai(x)), float(mp.airyai(x, derivative=1))
+        if x < 0:
+            scale = (abs(x) ** -0.25 / math.sqrt(math.pi), abs(x) ** 0.25 / math.sqrt(math.pi))
+        else:
+            scale = (abs(ai), abs(aip))
+        errs = (abs(sf.airy_ai(x) - ai) / scale[0], abs(sf.airy_ai_prime(x) - aip) / scale[1])
+        for err, earlier in zip(errs, self.EARLIER[x]):
+            assert err <= 1.5 * earlier
+
+
+
+class TestKernelTables:
+    # each point's degree is read off a sorted table of |x| breakpoints
+    @pytest.mark.parametrize("table", ["_AIRY_EDGES", "_AIRY_GROWS", "_J0_SERIES_EDGES",
+                                       "_J0_FALLING", "_J0_SMALL"])
+    def test_sorted(self, table):
+        assert np.all(np.diff(getattr(sf, table)) > 0)
+
+    def test_series_tables_reach_their_crossovers(self):
+        assert sf._AIRY_EDGES[-1] > sf._AIRY_SPLIT
+        assert sf._J0_SERIES_EDGES[-1] > sf._J0_SPLIT
+
+    def test_airy_degree_at_crossover(self):
+        # at |x| = 6 the first omitted Maclaurin term of each row, with its
+        # factor x (g) or x^2 (f'), is below the 1e-18 of the degree table
+        k = int(np.searchsorted(sf._AIRY_EDGES, 6.0, side="right")) + 1
+        coef = sf._airy_maclaurin_coeffs(k)[:, k]
+        assert np.all(coef * 6.0 ** (3 * k + np.array([0, 1, 2, 0])) < 1e-18)
+
+
+def _zeta_em_reference(s, want_derivative=False):
+    # the earlier _zeta_em body, which rebuilt the Pochhammer product for
+    # every correction term: the kernel keeps its arithmetic, so its bits
+    n_base = 24
+    total = 0.0
+    dtotal = 0.0
+    for kk in range(1, n_base):
+        p = kk ** (-s)
+        total += p
+        dtotal -= math.log(kk) * p
+    nn = float(n_base)
+    ln_n = math.log(nn)
+    a = nn ** (1.0 - s) / (s - 1.0)
+    total += a
+    dtotal += -ln_n * a - nn ** (1.0 - s) / (s - 1.0) ** 2
+    b = 0.5 * nn ** (-s)
+    total += b
+    dtotal -= ln_n * b
+    npow = nn ** (-s - 1.0)
+    for j in range(1, 16):
+        coeff = float(sf._BERNOULLI[2 * j]) / math.factorial(2 * j)
+        poch = 1.0
+        dpoch = 0.0
+        for i in range(2 * j - 1):
+            dpoch = dpoch * (s + i) + poch
+            poch *= s + i
+        total += coeff * poch * npow
+        dtotal += coeff * (dpoch - poch * ln_n) * npow
+        npow /= nn * nn
+    return dtotal if want_derivative else total
+
+
+class TestZetaKernel:
+    S = [-9.7, -7.3, -4.5, -3.1, -2.5, -1.75, -1.0, -0.49, -0.3, 0.0, 0.25, 0.5,
+         0.9, 0.999, 1.001, 1.1, 1.5, 2.0, 2.5, 3.0, 4.5, 7.0, 10.0, 15.5, 22.0, 30.0]
+
+    @pytest.mark.parametrize("s", S)
+    def test_against_mpmath(self, s):
+        import mpmath as mp
+        with mp.workdps(30):
+            z, zp = float(mp.zeta(s)), float(mp.zeta(s, derivative=1))
+        assert rel(sf.zeta_real(s), z) < 1e-12
+        assert rel(sf.zeta_prime_real(s), zp) < 1e-12
+
+    def test_bitwise_equal_to_reference_loop(self):
+        for s in list(np.linspace(-0.49, 30.0, 500)) + [0.0, -0.0, 2.0, 3.0]:
+            for deriv in (False, True):
+                assert sf._zeta_em(float(s), deriv) == _zeta_em_reference(float(s), deriv)
+
+
+def test_bernoulli_table_equals_defining_recurrence():
+    # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, B_0 = 1 (the B^- convention)
+    want = [Fraction(1)]
+    for m in range(1, 129):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += Fraction(math.comb(m + 1, j)) * want[j]
+        want.append(-acc / (m + 1))
+    assert sf._BERNOULLI == want
