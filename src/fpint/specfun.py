@@ -395,10 +395,9 @@ def _horner(coef: np.ndarray, t: np.ndarray, last: np.ndarray | None = None) -> 
     """sum_k coef[r, k] t^k for every row r of coef at every point of t.
 
     `last` (broadcast to (rows, t.size)) gives each point its own highest
-    power: its
-    coefficients past it are zeroed, so the leading Horner steps hold it at
-    an exact 0 and its value is the one it has alone, whatever the other
-    points of the array.  Without `last` every point takes every column.
+    power: its coefficients past it are zeroed, so the leading Horner steps
+    hold it at an exact 0 and its value is the one it has alone, whatever the
+    other points of the array.  Without `last` every point takes every column.
     The loop is elementwise on purpose: a BLAS reduction over the columns
     would sum in an order that depends on the array.
     """
@@ -458,9 +457,10 @@ def _j0_asym_arr(x: np.ndarray) -> np.ndarray:
     smallest = np.searchsorted(_J0_FALLING, x, side="right")
     below_tol = len(_J0_SMALL) + 1 - np.searchsorted(_J0_SMALL, x, side="left")
     m = np.minimum(smallest, below_tol)
-    pq = _horner(_J0_HANKEL, 1.0 / (x * x), np.stack([m // 2, (m - 1) // 2]))
+    inv = 1.0 / x                   # not 1 / x^2, which overflows past 1e154
+    pq = _horner(_J0_HANKEL, inv * inv, np.stack([m // 2, (m - 1) // 2]))
     w = x - 0.25 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (pq[0] * np.cos(w) + pq[1] / x * np.sin(w))
+    return np.sqrt(2.0 / (math.pi * x)) * (pq[0] * np.cos(w) + pq[1] * inv * np.sin(w))
 
 
 def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
@@ -510,10 +510,11 @@ def _airy_maclaurin_coeffs(degree: int) -> np.ndarray:
 
 
 _AIRY_MACLAURIN = _airy_maclaurin_coeffs(_AIRY_DEGREE)
+_AIRY_XPOW = np.array([0, 1, 2, 0])        # the factor x^p of each row: g = x G, f' = x^2 F'
 # degree k suffices below |x| = _AIRY_EDGES[k]: there the term of power k+1
-# of every row, with its factor x (g) or x^2 (f'), is below _AIRY_TOL
+# of every row, with its factor x^p, is below _AIRY_TOL
 _AIRY_EDGES = np.array([
-    np.min((_AIRY_TOL / _AIRY_MACLAURIN[:, k + 1]) ** (1.0 / (3 * k + 3 + np.array([0, 1, 2, 0]))))
+    np.min((_AIRY_TOL / _AIRY_MACLAURIN[:, k + 1]) ** (1.0 / (3 * k + 3 + _AIRY_XPOW)))
     for k in range(_AIRY_DEGREE)])
 
 
