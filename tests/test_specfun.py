@@ -288,9 +288,9 @@ class TestJ0Accuracy:
 
 
 class TestAiryNearCrossover:
-    # Error at the earlier kernels (loops of term recurrences, same crossovers):
-    # relative for x > 0, on the envelope |x|^(-/+1/4)/sqrt(pi) for x < 0
-    # (Ai, Ai').  The bound is that error with half again for rounding, as
+    # Errors of the term-recurrence loops that preceded the Horner kernels,
+    # with the same crossovers: relative for x > 0, on the envelope
+    # |x|^(-/+1/4)/sqrt(pi) for x < 0 (Ai, Ai').  The bound is that error with half again for rounding, as
     # the Horner kernels sum the same terms in another order; near x = -6
     # both sit at the series' cancellation floor, about 1e-16 of its
     # largest term.
@@ -315,7 +315,6 @@ class TestAiryNearCrossover:
             assert err <= 1.5 * earlier
 
 
-
 class TestKernelTables:
     # each point's degree is read off a sorted table of |x| breakpoints
     @pytest.mark.parametrize("table", ["_AIRY_EDGES", "_AIRY_GROWS", "_J0_SERIES_EDGES",
@@ -336,8 +335,8 @@ class TestKernelTables:
 
 
 def _zeta_em_reference(s, want_derivative=False):
-    # the earlier _zeta_em body, which rebuilt the Pochhammer product for
-    # every correction term: the kernel keeps its arithmetic, so its bits
+    # _zeta_em with the Pochhammer product rebuilt for every correction term:
+    # the kernel carries the product along and must keep every bit
     n_base = 24
     total = 0.0
     dtotal = 0.0
