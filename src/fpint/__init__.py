@@ -24,8 +24,7 @@ from .hilbert import (EvalReport, TransformSpec, evaluate_grid, evaluate_transfo
                       full_line_branch, full_line_sgn, one_sided,
                       small_omega_asymptotic, stieltjes, sym_omega, sym_x)
 from .precision import PrecisionConfig, default_precision
-from .pvoracle import (QuadratureBudget, pv_linear, pv_quadratic, pv_transform,
-                       regular_integral)
+from .pvoracle import QuadratureBudget, pv_linear, pv_transform, regular_integral
 
 __version__ = "0.1.0"
 

@@ -51,15 +51,8 @@ from .errors import ConvergenceDomain, DomainError, FpintError, ProvisoViolated
 from .finitepart import FpValue, resolve_fp, snap_nu
 from .funcmodel import AnalyticFunction, factor_zero, scaled
 from .precision import PrecisionConfig, default_precision, sum_series
-from .pvoracle import neg_weight, regular_integral
+from .pvoracle import VARIANTS, check_domain, neg_weight, regular_integral
 
-VARIANTS = ("stieltjes", "one_sided", "full_line", "full_line_sgn",
-            "full_line_branch", "full_line_abs", "full_line_abs_sgn",
-            "sym_omega", "sym_x")
-
-_POSITIVE_OMEGA = {"stieltjes", "one_sided", "sym_omega", "sym_x"}
-_NU_REQUIRED = {"full_line_branch", "full_line_abs", "full_line_abs_sgn"}
-_NU_FORBIDDEN = {"full_line", "full_line_sgn"}
 _FP_MODES = ("auto", "generic")
 
 OMEGA_MARGIN = 0.99
@@ -77,24 +70,8 @@ class TransformSpec:
     a: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise DomainError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if not math.isfinite(self.omega):
-            raise DomainError(f"omega must be finite, got {self.omega}")
         object.__setattr__(self, "nu", snap_nu(self.nu))
-        if self.variant in _NU_REQUIRED and self.nu == 0.0:
-            raise DomainError(
-                f"{self.variant} requires 0 < nu < 1 (nu = 0 collapses to the "
-                "plain/sgn full-line variants)")
-        if self.variant in _NU_FORBIDDEN and self.nu != 0.0:
-            raise DomainError(f"{self.variant} is the nu = 0 theorem; use the "
-                              "branch/abs variants for nu > 0")
-        if self.variant in _POSITIVE_OMEGA and not self.omega > 0.0:
-            raise DomainError(f"{self.variant} requires omega > 0")
-        if self.variant != "full_line" and self.omega == 0.0:
-            raise DomainError(f"{self.variant} is singular at omega = 0")
-        if not self.a > 0.0:
-            raise DomainError("a must be positive")
+        check_domain(self.variant, self.nu, self.omega, self.a)
 
 
 @dataclass

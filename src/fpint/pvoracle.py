@@ -9,9 +9,11 @@ crossings, with Wynn-epsilon and a power-ladder fit accelerating the partial
 sums (conditionally convergent e^{iax}- and Airy-type tails need this).  The
 panels between two estimator checks are evaluated in one integrand call.
 Principal values use singularity subtraction in the symmetric window around
-the pole.  The transform oracle splits a full-line kernel at the origin into
-two half-line integrals; the kernel enters only by its weight on x < 0
-(neg_weight).
+the pole.  The transform oracle builds every variant from one PV and one
+Stieltjes integral at |omega|: the symmetric kernels are a PV with the weight
+W/(omega + x), and a full-line kernel splits at the origin into two half-line
+integrals, entering only by its weight on x < 0 (neg_weight).  check_domain
+is the one statement of each kernel's domain.
 """
 
 from __future__ import annotations
@@ -164,6 +166,29 @@ def _power_ladder_fit(xs: np.ndarray, sums: np.ndarray, gamma: float) -> complex
     return complex((coef / norms)[0])
 
 
+def _tail_vote(sums: list[complex], rights: list[float], gamma: float,
+               prev: tuple[complex, complex] | None):
+    """One estimator check on the partial sums over the half-period segments
+    ending at rights: Wynn epsilon on the last 17 sums against a power-ladder
+    fit of the paired sums over their last half and three quarters, each
+    scored by its self-consistency since prev, the state the check before
+    returned (None at the first).  Returns (estimate, error, state)."""
+    # full-period pairing removes the alternating component
+    paired = 0.5 * (np.asarray(sums[:-1:2], dtype=complex)
+                    + np.asarray(sums[1::2], dtype=complex))
+    xs = np.asarray(rights[1::2], dtype=float)[:len(paired)]
+    n = len(paired)
+    fit = _power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma)
+    fit_b = _power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma)
+    wynn = _wynn_epsilon(sums[-17:])
+    wynn_prev, fit_prev = prev or (None, None)
+    err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
+                                  else math.inf)
+    err_wynn = (abs(wynn - wynn_prev) if wynn_prev is not None else math.inf)
+    est, err = (wynn, err_wynn) if err_wynn < err_fit else (fit, err_fit)
+    return est, err, (wynn, fit)
+
+
 def _oscillatory_tail(f, start: float, tail: TailDecay,
                       budget: QuadratureBudget, envelope_power: float) -> complex:
     """Tail with phase c x^q: half-period segments, two independent limits.
@@ -172,7 +197,8 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     integrands with a non-oscillatory algebraic mean (J0^2-type) defeat it,
     so full-period pairing plus a known-exponent power-ladder fit of the
     partial sums provides the second estimator.  Agreement of the two, or
-    self-consistency of the fit across windows, is the stopping test.
+    self-consistency of the fit across windows, is the stopping test; the
+    vote at each check is _tail_vote.
 
     The segment edges depend only on the phase, so f is called once per
     window: on the nodes of segments 0-16 before the first check, then of the
@@ -190,8 +216,7 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     left = start
     best = None
     best_err = math.inf
-    wynn_prev = None
-    fit_prev = None
+    vote = None
     for i in range(16, _MAX_SEGMENTS, 8):
         window = [((phi0 + (k + 1) * math.pi) / c) ** (1.0 / q)
                   for k in range(len(rights), i + 1)]
@@ -200,20 +225,7 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
             sums.append(partial)
         rights += window
         left = window[-1]
-        # full-period pairing removes the alternating component
-        paired = 0.5 * (np.asarray(sums[:-1:2], dtype=complex)
-                        + np.asarray(sums[1::2], dtype=complex))
-        xs = np.asarray(rights[1::2], dtype=float)[:len(paired)]
-        n = len(paired)
-        fit = _power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma)
-        fit_b = _power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma)
-        wynn = _wynn_epsilon(sums[-17:])
-        # each estimator is scored by its own self-consistency
-        err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
-                                      else math.inf)
-        err_wynn = (abs(wynn - wynn_prev) if wynn_prev is not None else math.inf)
-        wynn_prev, fit_prev = wynn, fit
-        est, err = (wynn, err_wynn) if err_wynn < err_fit else (fit, err_fit)
+        est, err, vote = _tail_vote(sums, rights, gamma, vote)
         if err < best_err:
             best, best_err = est, err
         if err < max(budget.abs_tol, budget.rel_tol * abs(est)):
@@ -353,35 +365,34 @@ def pv_linear(h, omega: float, lo: float, hi: float,
     return out
 
 
-def pv_quadratic(h, omega: float, hi: float, weight: str, nu: float,
-                 budget: QuadratureBudget | None = None,
-                 tail: TailDecay | None = None) -> complex:
-    """PV int_0^hi W(x) h(x) / (x^nu (omega^2 - x^2)) dx, W = omega or x.
-
-    The x = omega pole is subtracted through phi(x) = W h x^-nu / (omega + x);
-    the x = 0 endpoint carries the integrable x^-nu (or x^{1-nu}) weight.
-    """
-    if weight not in ("omega_over", "x_over"):
-        raise DomainError("weight must be 'omega_over' or 'x_over'")
-    if not 0.0 <= nu < 1.0:
-        raise DomainError("nu must lie in [0, 1)")
-    if not 0.0 < omega < hi:
-        raise DomainError("omega must lie inside (0, hi)")
-
-    def phi(x: np.ndarray):
-        w = omega if weight == "omega_over" else x
-        return w * h(x) * x ** (-nu) / (omega + x)
-
-    # x_over: x^(1-nu) is bounded at the origin
-    eff_nu = nu if weight == "omega_over" else 0.0
-    extra = 2.0 + nu if weight == "omega_over" else 1.0 + nu
-    return pv_linear(phi, omega, 0.0, hi, budget, tail,
-                     endpoint_nu=eff_nu, tail_extra_power=extra)
-
-
 # ---------------------------------------------------------------------------
 # Transform-shaped oracle
 # ---------------------------------------------------------------------------
+
+VARIANTS = ("stieltjes", "one_sided", "full_line", "full_line_sgn",
+            "full_line_branch", "full_line_abs", "full_line_abs_sgn",
+            "sym_omega", "sym_x")
+
+
+def check_domain(variant: str, nu: float, omega: float, a: float) -> None:
+    """Raise DomainError unless (variant, nu, omega, a) lies in the kernel's
+    domain: the one statement of it, which TransformSpec and pv_transform call."""
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}; one of {VARIANTS}")
+    if not (math.isfinite(omega) and 0.0 <= nu < 1.0 and a > 0.0):
+        raise DomainError(f"need a finite omega, 0 <= nu < 1 and a > 0; got "
+                          f"omega = {omega}, nu = {nu}, a = {a}")
+    if variant in ("full_line", "full_line_sgn") and nu != 0.0:
+        raise DomainError(f"{variant} is the nu = 0 kernel; use the branch/abs "
+                          "variants for nu > 0")
+    if variant in ("full_line_branch", "full_line_abs", "full_line_abs_sgn") and nu == 0.0:
+        raise DomainError(f"{variant} requires 0 < nu < 1 (nu = 0 is the plain/sgn "
+                          "full-line kernel)")
+    if variant in ("stieltjes", "one_sided", "sym_omega", "sym_x") and not omega > 0.0:
+        raise DomainError(f"{variant} requires omega > 0")
+    if omega == 0.0 and variant != "full_line":
+        raise DomainError(f"{variant} is singular at omega = 0")
+
 
 def neg_weight(variant: str, nu: float) -> complex:
     """Weight w of a full-line kernel on x < 0: the kernel is x^-nu on x > 0
@@ -413,15 +424,15 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
                  a: float, budget: QuadratureBudget | None = None) -> complex:
     """Brute-force PV value of one transform variant (ground truth at desk scale).
 
-    The symmetric kernels are pv_quadratic's; every other variant is made of
-    two integrals at the pole |omega|:
+    Every variant is made of one PV and one Stieltjes integral at |omega|,
 
-        pv(g)  = PV int_0^a g(x) x^-nu / (|omega| - x) dx,
-        reg(g) = int_0^a g(x) x^-nu / (|omega| + x) dx.
+        pv(h)  = PV int_0^a h(x) / (|omega| - x) dx,
+        reg(h) = int_0^a h(x) / (|omega| + x) dx,
 
-    stieltjes is reg(f) and one_sided is pv(f), both for omega > 0.  A
-    full-line kernel with weight w on x < 0 (neg_weight) splits at the
-    origin; with fr(x) = f(-x) it is
+    with h = g(x) x^-nu.  stieltjes is reg(f) and one_sided pv(f).  The
+    symmetric kernels W/(omega^2 - x^2), W = omega (sym_omega) or x (sym_x),
+    are pv(f) with the weight W/(omega + x).  A full-line kernel with weight
+    w on x < 0 (neg_weight) splits at the origin; with fr(x) = f(-x) it is
 
         w reg(fr) + pv(f)      for omega > 0,
         -reg(f) - w pv(fr)     for omega < 0.
@@ -429,21 +440,12 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
     full_line alone is defined at omega = 0, where it is the pole-free
     -int_0^a (f(x) - fr(x)) / x dx.
 
-    A non-finite value, which comes from a pole of f on the range (for the
-    full-line kernels, on [-a, 0)), is refused.
+    An input outside the kernel's domain (check_domain) is refused, and so
+    is a non-finite value, which comes from a pole of f on the range (for
+    the full-line kernels, on [-a, 0)).
     """
+    check_domain(variant, nu, omega, a)
     budget = budget or QuadratureBudget()
-    half_line = variant in ("stieltjes", "one_sided", "sym_omega", "sym_x")
-    if half_line and not omega > 0.0:
-        raise DomainError(f"{variant} needs omega > 0")
-    if not half_line:
-        w = neg_weight(variant, nu)
-        if variant in ("full_line", "full_line_sgn") and nu != 0.0:
-            raise DomainError(f"{variant} is the nu = 0 kernel")
-        if variant not in ("full_line", "full_line_sgn") and not 0.0 < nu < 1.0:
-            raise DomainError(f"{variant} needs 0 < nu < 1")
-        if omega == 0.0 and variant != "full_line":
-            raise DomainError(f"{variant} is singular at omega = 0")
     pole = abs(omega)
 
     def weighted(g: AnalyticFunction):
@@ -459,8 +461,15 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
                                 budget=budget, tail=g.tail, tail_extra_power=1.0 + nu)
 
     if variant in ("sym_omega", "sym_x"):
-        weight = "omega_over" if variant == "sym_omega" else "x_over"
-        value = pv_quadratic(f.evaluate, omega, a, weight, nu, budget=budget, tail=f.tail)
+        over_omega = variant == "sym_omega"
+
+        def sym(x: np.ndarray):
+            return (omega if over_omega else x) * f.evaluate(x) * x ** (-nu) / (omega + x)
+
+        # sym_x: x^(1-nu) is bounded at the origin
+        value = pv_linear(sym, omega, 0.0, a, budget=budget, tail=f.tail,
+                          endpoint_nu=nu if over_omega else 0.0,
+                          tail_extra_power=(2.0 if over_omega else 1.0) + nu)
     elif variant == "stieltjes":
         value = reg(f)
     elif variant == "one_sided":
@@ -468,9 +477,9 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
     elif omega == 0.0:
         value = -_odd_over_x(f, a, budget)
     elif omega > 0.0:
-        value = w * reg(f.reflect()) + pv(f)
+        value = neg_weight(variant, nu) * reg(f.reflect()) + pv(f)
     else:
-        value = -reg(f) - w * pv(f.reflect())
+        value = -reg(f) - neg_weight(variant, nu) * pv(f.reflect())
     if not cmath.isfinite(value):
         raise DomainError(f"{variant} is not finite: f has a pole on the range")
     return value

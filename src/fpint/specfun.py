@@ -473,17 +473,19 @@ def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
     crossover at 12.5 balances the series' cancellation against the Hankel
     sums' smallest term (about e^{-2x}); against mpmath the error is below
     5e-12 of the envelope min(1, sqrt(2/(pi x))) on [0, 40], largest near
-    the crossover, and below 3e-15 of it past x = 20.
+    the crossover, and below 3e-15 of it past x = 20.  J0(+-inf) = 0, and
+    nan gives nan.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(np.abs(arr))          # J0 is even
-    out = np.empty_like(arr)
+    out = np.where(arr == math.inf, 0.0, np.nan)   # J0(+-inf) = 0; nan stays nan
     small = arr <= _J0_SPLIT
+    large = (arr > _J0_SPLIT) & (arr < math.inf)
     if small.any():
         out[small] = _j0_series_arr(arr[small])
-    if (~small).any():
-        out[~small] = _j0_asym_arr(arr[~small])
+    if large.any():
+        out[large] = _j0_asym_arr(arr[large])
     return float(out[0]) if scalar else out
 
 
@@ -607,10 +609,10 @@ def _airy_pair(x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     mid = np.abs(arr) <= _AIRY_SPLIT
     if mid.all():                  # most calls: no region to pick apart
         return (*_airy_series_arr(arr), scalar)
-    ai = np.empty_like(arr)
-    aip = np.empty_like(arr)
-    pos = arr > _AIRY_SPLIT
-    neg = arr < -_AIRY_SPLIT
+    ai = np.where(np.isinf(arr), 0.0, np.nan)    # Ai, Ai' vanish at +-inf; nan stays nan
+    aip = ai.copy()
+    pos = (arr > _AIRY_SPLIT) & (arr < math.inf)
+    neg = (arr < -_AIRY_SPLIT) & (arr > -math.inf)
     if mid.any():
         ai[mid], aip[mid] = _airy_series_arr(arr[mid])
     if pos.any():
@@ -621,13 +623,13 @@ def _airy_pair(x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def airy_ai(x: float | np.ndarray) -> float | np.ndarray:
-    """Airy Ai(x) on the real line; each value is its one-point value."""
+    """Airy Ai(x) on the real line, 0 at +-inf; each value is its one-point value."""
     ai, _, scalar = _airy_pair(x)
     return float(ai[0]) if scalar else ai
 
 
 def airy_ai_prime(x: float | np.ndarray) -> float | np.ndarray:
-    """Airy Ai'(x) on the real line."""
+    """Airy Ai'(x) on the real line, 0 at +-inf."""
     _, aip, scalar = _airy_pair(x)
     return float(aip[0]) if scalar else aip
 

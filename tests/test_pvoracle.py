@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,18 +128,18 @@ class TestFullLineAtOmegaZero:
             pv.pv_transform(variant, f, nu, 0.0, math.inf)
 
 
-class TestPvQuadratic:
+class TestSymKernels:
+    # the symmetric kernels W/(w^2 - x^2), W = w or x, through pv_transform
     def test_truncated_constant(self):
         # PV int_0^{2w} w/(w^2-x^2) dx = (1/2) ln 3
-        got = pv.pv_quadratic(lambda x: np.ones_like(x), 0.7, 1.4, "omega_over", 0.0)
+        got = pv.pv_transform("sym_omega", fm.builtin("const"), 0.0, 0.7, 1.4)
         assert rel(got, 0.5 * math.log(3.0)) < 1e-11
 
     def test_exp_decay_against_closed_form(self):
         # sym kernel on exp(-x) at nu=1/2: 1F2-plus-singular closed form
         from fpint.catalog import eval_closed_form
         f = fm.builtin("exp_decay", a=1.0)
-        got = pv.pv_quadratic(f.evaluate, 0.3, math.inf, "omega_over", 0.5,
-                              tail=f.tail)
+        got = pv.pv_transform("sym_omega", f, 0.5, 0.3, math.inf)
         want = eval_closed_form("C.10", {"a": 1.0, "nu": 0.5}, omega=0.3)
         assert rel(got, want) < 1e-8
 
@@ -146,11 +147,32 @@ class TestPvQuadratic:
         f = fm.builtin("j0_squared", a=1.0)
         b1 = pv.QuadratureBudget(abs_tol=1e-10, rel_tol=1e-9)
         b2 = pv.QuadratureBudget(abs_tol=1e-12, rel_tol=1e-11)
-        v1 = pv.pv_quadratic(f.evaluate, 0.4, math.inf, "x_over", 0.0,
-                             budget=b1, tail=f.tail)
-        v2 = pv.pv_quadratic(f.evaluate, 0.4, math.inf, "x_over", 0.0,
-                             budget=b2, tail=f.tail)
+        v1 = pv.pv_transform("sym_x", f, 0.0, 0.4, math.inf, budget=b1)
+        v2 = pv.pv_transform("sym_x", f, 0.0, 0.4, math.inf, budget=b2)
         assert abs(v1 - v2) < 10.0 * b1.rel_tol * max(abs(v2), 1.0)
+
+
+class TestDomainCheck:
+    # one domain check serves the oracle and TransformSpec: every input
+    # outside a kernel's domain is a DomainError, never a bare exception,
+    # a RuntimeWarning or a value
+    BAD = [dict(nu=-0.2), dict(nu=1.0), dict(nu=1.2), dict(nu=math.nan),
+           dict(omega=math.inf), dict(omega=-math.inf), dict(omega=math.nan),
+           dict(a=0.0), dict(a=-1.0), dict(a=math.nan)]
+
+    @pytest.mark.parametrize("bad", BAD, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+    @pytest.mark.parametrize("variant", pv.VARIANTS)
+    def test_refused_by_oracle_and_spec(self, variant, bad):
+        from fpint.hilbert import TransformSpec
+        nu = 0.0 if variant in ("full_line", "full_line_sgn") else 0.3
+        args = dict(dict(nu=nu, omega=0.4, a=math.inf), **bad)
+        f = fm.builtin("exp_decay", a=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pv.DomainError):
+                pv.pv_transform(variant, f, args["nu"], args["omega"], args["a"])
+            with pytest.raises(pv.DomainError):
+                TransformSpec(variant, args["omega"], args["nu"], args["a"])
 
 
 class TestTails:
@@ -193,7 +215,9 @@ class TestAdaptiveNonFinite:
 def _per_panel_tail(f, start, tail, budget, envelope_power):
     """Reference for _oscillatory_tail: one f call per half-period panel.
 
-    Returns the tail and the number of estimator checks made.
+    Each check runs the tail's own estimator vote (pv._tail_vote), so the
+    comparison pins the windowing, not the vote.  Returns the tail and the
+    number of estimator checks made.
     """
     c = tail.phase_coeff or 1.0
     q = tail.phase_power or 1.0
@@ -203,7 +227,7 @@ def _per_panel_tail(f, start, tail, budget, envelope_power):
     partial = 0.0 + 0.0j
     left = start
     best, best_err = None, math.inf
-    wynn_prev = fit_prev = None
+    vote = None
     checks = 0
     for i in range(pv._MAX_SEGMENTS):
         right = ((phi0 + (i + 1) * math.pi) / c) ** (1.0 / q)
@@ -215,18 +239,7 @@ def _per_panel_tail(f, start, tail, budget, envelope_power):
         rights.append(right)
         if i >= 16 and i % 8 == 0:
             checks += 1
-            paired = 0.5 * (np.asarray(sums[:-1:2], dtype=complex)
-                            + np.asarray(sums[1::2], dtype=complex))
-            xs = np.asarray(rights[1::2], dtype=float)[:len(paired)]
-            n = len(paired)
-            fit = pv._power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma)
-            fit_b = pv._power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma)
-            wynn = pv._wynn_epsilon(sums[-17:])
-            err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
-                                          else math.inf)
-            err_wynn = abs(wynn - wynn_prev) if wynn_prev is not None else math.inf
-            wynn_prev, fit_prev = wynn, fit
-            est, err = (wynn, err_wynn) if err_wynn < err_fit else (fit, err_fit)
+            est, err, vote = pv._tail_vote(sums, rights, gamma, vote)
             if err < best_err:
                 best, best_err = est, err
             if err < max(budget.abs_tol, budget.rel_tol * abs(est)):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,31 @@ class TestArrayIndependence:
         one = np.array([sf.bessel_j0(float(x)) for x in self.X])
         env = np.minimum(1.0, np.sqrt(2.0 / (math.pi * np.abs(self.X))))
         assert np.all(np.abs(sf.bessel_j0(self.X) - one) <= np.spacing(env))
+
+
+class TestNonFinite:
+    # nan in gives nan out, and J0, Ai and Ai' all vanish at +-inf, with no
+    # RuntimeWarning; finite points keep their one-point values
+    FNS = [sf.bessel_j0, sf.airy_ai, sf.airy_ai_prime]
+
+    @pytest.mark.parametrize("fn", FNS)
+    def test_nan(self, fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(fn(math.nan))
+            got = fn(np.array([math.nan, 7.0, 1.0, -7.0, math.nan]))
+        assert np.isnan(got[[0, 4]]).all()
+        assert np.array_equal(got[1:4], [fn(7.0), fn(1.0), fn(-7.0)])
+
+    @pytest.mark.parametrize("fn", FNS)
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_infinity(self, fn, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn(x) == 0.0
+            got = fn(np.array([x, 7.0, -7.0, 1.0, 13.0]))
+        assert got[0] == 0.0
+        assert np.array_equal(got[1:], [fn(7.0), fn(-7.0), fn(1.0), fn(13.0)])
 
 
 class TestZeta:
