@@ -421,17 +421,21 @@ def _c30(a, nu, omega):
 
 
 def _c31(a, omega):
+    # n = j + 1.  The functional equation, zeta(1 - 2n) = 2 (-1)^n (2n-1)!
+    # zeta(2n) / (2 pi)^2n, cancels each term's factorial against the growth
+    # of zeta(1 - 2n) and zeta'(-2n), so no factor leaves the float range: the
+    # terms fall like q^n = (a omega / pi)^2n, r^n = q^n / 4^n
     aw = a * omega
-    s1 = _sum_terms(lambda j: aw ** (2 * (j + 1)) * (2.0 ** (2 * j + 3) - 1.0)
-                    / math.gamma(2 * j + 3.0)
-                    * sf.zeta_prime_at_negative_even(j + 1))
-    s2 = _sum_terms(lambda j: aw ** (2 * (j + 1)) / math.gamma(2 * (j + 1.0))
-                    * (math.log(a) - 2.0 ** (2 * (j + 1)) * math.log(2.0 * a)
-                       + (2.0 ** (2 * (j + 1)) - 1.0) * sf.digamma(2 * (j + 1.0)))
-                    * sf.zeta_real(1.0 - 2 * (j + 1)))
-    s3 = _sum_terms(lambda j: aw ** (2 * (j + 1)) * (2.0 ** (2 * (j + 1)) - 1.0)
-                    * sf.zeta_prime_real(1.0 - 2 * (j + 1))
-                    / math.gamma(2 * (j + 1.0)))
+    q, r = (aw / _PI) ** 2, (aw / (2.0 * _PI)) ** 2
+    s1 = _sum_terms(lambda j: (-1.0) ** (j + 1) * (q ** (j + 1) - 0.5 * r ** (j + 1))
+                    * sf.zeta_real(2.0 * j + 3.0))
+    s2 = _sum_terms(lambda j: 2.0 * (-1.0) ** (j + 1) * sf.zeta_real(2.0 * j + 2.0)
+                    * (r ** (j + 1) * math.log(a) - q ** (j + 1) * math.log(2.0 * a)
+                       + (q ** (j + 1) - r ** (j + 1)) * sf.digamma(2.0 * j + 2.0)))
+    s3 = _sum_terms(lambda j: 2.0 * (-1.0) ** (j + 1) * (q ** (j + 1) - r ** (j + 1))
+                    * (sf.zeta_real(2.0 * j + 2.0)
+                       * (math.log(2.0 * _PI) - sf.digamma(2.0 * j + 2.0))
+                       - sf.zeta_prime_real(2.0 * j + 2.0)))
     return (0.5 * sf.EULER_GAMMA + 0.5 * math.log(2.0 * a / _PI)
             + s1 - s2 / aw - s3 / aw
             + math.log(omega) / (math.exp(a * omega) + 1.0))

@@ -161,7 +161,7 @@ def _fp_split(f: AnalyticFunction, kernel: FpKernel, precision: PrecisionConfig 
         t_scale = probe * s ** (1.0 - e) / max(e - 1.0, 1.0)
         budget = replace(_BUDGET, abs_tol=max(
             min(_BUDGET.abs_tol, _BUDGET.rel_tol * t_scale), 1e-250))
-        route, rest = "split_tail", tail_integral(integrand, s, f.tail, budget, extra_power=e)
+        route, rest = "split_tail", tail_integral(integrand, s, f.tail.over_power(e), budget)
     value += rest
     if not cmath.isfinite(value):
         raise DomainError(f"{f.name}: finite part of x^-{e:g} over [0, {a:g}] is "
@@ -272,7 +272,7 @@ def fp_epsilon_oracle(f_eval, kernel: FpKernel,
         def tail_integrand(x: np.ndarray):
             return np.asarray(f_eval(x)) * x ** (-e)
 
-        tail_part = tail_integral(tail_integrand, a, tail, budget, extra_power=e)
+        tail_part = tail_integral(tail_integrand, a, tail.over_power(e), budget)
 
     powers = []
     p = e - 1.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,8 +20,7 @@ from . import dtable
 from .errors import AllZeroError, ConsistencyError, DomainError, UnknownBuiltin
 
 # Tail-decay kinds
-TAIL_SUPEREXP = "superexponential"
-TAIL_EXP = "exponential"
+TAIL_EXP = "exponential"        # falls faster than any power
 TAIL_ALG = "algebraic"
 TAIL_OSC_ALG = "oscillatory_algebraic"
 TAIL_NONE = "none"
@@ -34,27 +33,32 @@ MAX_ZERO_PROBE = 200
 class TailDecay:
     """Declared behavior of f(x) as x -> +inf.
 
-    kind        -- one of the TAIL_* constants
-    rate        -- exponential rate (|f| <= C exp(-rate x)) for TAIL_EXP
+    kind        -- one of the TAIL_* constants; TAIL_EXP is any f that falls
+                   faster than every power (the quadrature probes f for its cut)
     power       -- |f| ~ x^{-power} for the algebraic / oscillatory kinds
     phase_coeff, phase_power -- oscillation phase phi(x) = phase_coeff * x^phase_power
     """
 
     kind: str = TAIL_NONE
-    rate: float | None = None
     power: float | None = None
     phase_coeff: float | None = None
     phase_power: float = 1.0
 
-    def admits_inverse_power(self, extra_power: float) -> bool:
-        """Is f(x) x^{-extra_power} integrable on [T, inf)?"""
-        if self.kind in (TAIL_SUPEREXP, TAIL_EXP):
+    def over_power(self, p: float) -> "TailDecay":
+        """The declaration of f(x) x^-p."""
+        if self.kind in (TAIL_ALG, TAIL_OSC_ALG):
+            return replace(self, power=(self.power or 0.0) + p)
+        return self
+
+    def admits_inverse_power(self, p: float) -> bool:
+        """Is f(x) x^-p integrable on [T, inf)?  The one statement of the rule."""
+        if self.kind == TAIL_EXP:
             return True
         if self.kind == TAIL_ALG:
-            return (self.power or 0.0) + extra_power > 1.0
+            return (self.power or 0.0) + p > 1.0
         if self.kind == TAIL_OSC_ALG:
             # oscillation buys conditional convergence down to the boundary
-            return (self.power or 0.0) + extra_power > 0.5
+            return (self.power or 0.0) + p > 0.5
         return False
 
 
@@ -237,12 +241,6 @@ def factor_zero(f: AnalyticFunction):
     else:
         g_parity = "none"
 
-    def g_tail(t: TailDecay) -> TailDecay:
-        if t.kind in (TAIL_ALG, TAIL_OSC_ALG):
-            return TailDecay(t.kind, power=(t.power or 0.0) + m,
-                             phase_coeff=t.phase_coeff, phase_power=t.phase_power)
-        return t
-
     hook = None
     if parent.fp_hook is not None:
         # the shift carries kernels outside g's domain k + nu > 0 into f's
@@ -253,7 +251,7 @@ def factor_zero(f: AnalyticFunction):
         f"{f.name}/x^{m}", ev,
         lambda n: parent.maclaurin(n + m),
         parent.rho0, parity=g_parity,
-        tail=g_tail(parent.tail), tail_neg=g_tail(parent.tail_neg),
+        tail=parent.tail.over_power(m), tail_neg=parent.tail_neg.over_power(m),
         zero_order=0, fp_hook=hook,
     )
     return m, g
@@ -287,19 +285,11 @@ def linear_combination(alpha: complex, f: AnalyticFunction,
         parity = "none"
 
     def combine(t1: TailDecay, t2: TailDecay) -> TailDecay:
-        if t1.kind == t2.kind:
-            if t1.kind == TAIL_EXP:
-                return TailDecay(TAIL_EXP, rate=min(t1.rate or 1.0, t2.rate or 1.0))
-            if t1.kind in (TAIL_ALG, TAIL_OSC_ALG):
-                return TailDecay(t1.kind, power=min(t1.power or 0.0, t2.power or 0.0),
-                                 phase_coeff=t1.phase_coeff, phase_power=t1.phase_power)
-            return t1
-        kinds = {t1.kind, t2.kind}
-        if TAIL_NONE in kinds:
+        if t1.kind != t2.kind:
             return tail_none()
-        if kinds == {TAIL_SUPEREXP, TAIL_EXP}:
-            return t1 if t1.kind == TAIL_EXP else t2
-        return tail_none()
+        if t1.kind in (TAIL_ALG, TAIL_OSC_ALG):
+            return replace(t1, power=min(t1.power or 0.0, t2.power or 0.0))
+        return t1
 
     hook = None
     if f.fp_hook is not None and h.fp_hook is not None:
@@ -363,7 +353,7 @@ def _make_exp_decay(a: float):
         eval_fn=lambda x: np.exp(-a * x),
         coeff_fn=lambda n: ((-1.0) ** n) * _pow_over_factorial(a, n),
         rho0=math.inf, parity="none",
-        tail=TailDecay(TAIL_EXP, rate=a), tail_neg=tail_none(),
+        tail=TailDecay(TAIL_EXP), tail_neg=tail_none(),
     )
 
 
@@ -384,7 +374,7 @@ def _make_gaussian(a: float):
         eval_fn=lambda x: np.exp(-a * x * x),
         coeff_fn=lambda n: ((-1.0) ** (n // 2)) * _pow_over_factorial(a, n // 2)
         if n % 2 == 0 else 0.0,
-        rho0=math.inf, parity="even", tail=TailDecay(TAIL_SUPEREXP),
+        rho0=math.inf, parity="even", tail=TailDecay(TAIL_EXP),
     )
 
 
@@ -402,7 +392,7 @@ def _make_power_gaussian(m: int, a: float):
         eval_fn=lambda x: x ** m * np.exp(-a * x * x),
         coeff_fn=coeff, rho0=math.inf,
         parity="even" if m % 2 == 0 else "odd",
-        tail=TailDecay(TAIL_SUPEREXP), zero_order=m,
+        tail=TailDecay(TAIL_EXP), zero_order=m,
     )
 
 
@@ -500,7 +490,7 @@ def _make_exp_decay_shift(a: float, c: float):
     return dict(
         eval_fn=lambda x: np.exp(-a * x) / (x + c),
         coeff_fn=coeff, rho0=c, parity="none",
-        tail=TailDecay(TAIL_EXP, rate=a), tail_neg=tail_none(),
+        tail=TailDecay(TAIL_EXP), tail_neg=tail_none(),
     )
 
 
@@ -535,7 +525,7 @@ def _make_fermi(a: float):
 
     return dict(
         eval_fn=ev, coeff_fn=coeff, rho0=math.pi / a, parity="none",
-        tail=TailDecay(TAIL_EXP, rate=a), tail_neg=tail_none(),
+        tail=TailDecay(TAIL_EXP), tail_neg=tail_none(),
     )
 
 
@@ -549,8 +539,8 @@ def _make_airy(a: float, negated: bool = False):
         eval_fn=lambda x: airy_ai(sgn * a * np.asarray(x, dtype=float)),
         coeff_fn=lambda n: _airy_base_coeff(n) * (sgn * a) ** n,
         rho0=math.inf, parity="none",
-        tail=osc if negated else TailDecay(TAIL_SUPEREXP),
-        tail_neg=TailDecay(TAIL_SUPEREXP) if negated else osc,
+        tail=osc if negated else TailDecay(TAIL_EXP),
+        tail_neg=TailDecay(TAIL_EXP) if negated else osc,
     )
 
 
@@ -571,7 +561,7 @@ def _make_airy_prod(a: float):
 
     return dict(
         eval_fn=ev, coeff_fn=coeff, rho0=math.inf, parity="none",
-        tail=TailDecay(TAIL_SUPEREXP),
+        tail=TailDecay(TAIL_EXP),
         tail_neg=TailDecay(TAIL_OSC_ALG, power=0.0,
                            phase_coeff=(4.0 / 3.0) * a ** 1.5, phase_power=1.5),
     )

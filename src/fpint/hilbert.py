@@ -113,7 +113,7 @@ def _prefix_integral(arm: _Arm, k: int, nu: float, a: float) -> complex:
         return x ** power * ((-1.0) ** k * arm.w * g.evaluate(-x) - g.evaluate(x))
 
     return regular_integral(integrand, 0.0, a, endpoint_nu=max(0.0, -power),
-                            tail=g.tail, tail_extra_power=-power)
+                            tail=g.tail.over_power(-power))
 
 
 def _prefix_terms(arm: _Arm, omega: float, integral: Callable[[_Arm, int], complex]):

@@ -2,9 +2,10 @@
 
 The base integrator is a vectorized adaptive Gauss-Legendre rule (21/43-point
 pairs, bisection on the worst interval).  Endpoint x^-nu singularities are
-removed by the substitution x = u^(1/(1-nu)); infinite tails are truncated by
-the declared decay bound, summed over geometric panels for algebraic decay,
-and for oscillatory integrands summed over half-period panels between phase
+removed by the substitution x = u^(1/(1-nu)).  An infinite tail is handled
+by the integrand's own declared decay: a fast tail is cut where probes of the
+integrand fall below the target, an algebraic one is summed over geometric
+panels, and an oscillatory one over half-period panels between phase
 crossings, with Wynn-epsilon and a power-ladder fit accelerating the partial
 sums (conditionally convergent e^{iax}- and Airy-type tails need this).  The
 panels between two estimator checks are evaluated in one integrand call.
@@ -25,14 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure, TailBoundUnmet, TailNotIntegrable
-from .funcmodel import (TAIL_ALG, TAIL_EXP, TAIL_NONE, TAIL_OSC_ALG,
-                        TAIL_SUPEREXP, AnalyticFunction, TailDecay)
+from .funcmodel import TAIL_ALG, TAIL_EXP, AnalyticFunction, TailDecay
 
 _GL_LO = np.polynomial.legendre.leggauss(21)
 _GL_HI = np.polynomial.legendre.leggauss(43)
 _MAX_SUBDIVISIONS = 4000  # adaptive_quad bisections
 _TAIL_SAFETY = 0.1        # tails truncated when bound < abs_tol * _TAIL_SAFETY
 _MAX_SEGMENTS = 600       # oscillatory tail half-periods
+_MAX_PROBES = 50          # fast-tail cut probes, over spans growing by 1.6
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def _wynn_epsilon(sums: list[complex]) -> complex:
         e_next = []
         for j in range(len(e_curr) - 1):
             diff = e_curr[j + 1] - e_curr[j]
-            if abs(diff) < 1e-300:
+            if abs(diff) <= 1e-14 * abs(e_curr[j + 1]):
                 return e_curr[j + 1]
             e_next.append(e_prev[j + 1] + 1.0 / diff)
         e_prev = e_curr
@@ -172,7 +173,9 @@ def _tail_vote(sums: list[complex], rights: list[float], gamma: float,
     ending at rights: Wynn epsilon on the last 17 sums against a power-ladder
     fit of the paired sums over their last half and three quarters, each
     scored by its self-consistency since prev, the state the check before
-    returned (None at the first).  Returns (estimate, error, state)."""
+    returned (None at the first).  Wynn is kept only inside twice the last
+    segment of the last sum: a limit farther out than that is a breakdown of
+    the epsilon table, however consistent.  Returns (estimate, error, state)."""
     # full-period pairing removes the alternating component
     paired = 0.5 * (np.asarray(sums[:-1:2], dtype=complex)
                     + np.asarray(sums[1::2], dtype=complex))
@@ -185,7 +188,8 @@ def _tail_vote(sums: list[complex], rights: list[float], gamma: float,
     err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
                                   else math.inf)
     err_wynn = (abs(wynn - wynn_prev) if wynn_prev is not None else math.inf)
-    est, err = (wynn, err_wynn) if err_wynn < err_fit else (fit, err_fit)
+    bracketed = abs(wynn - sums[-1]) <= 2.0 * abs(sums[-1] - sums[-2])
+    est, err = (wynn, err_wynn) if bracketed and err_wynn < err_fit else (fit, err_fit)
     return est, err, (wynn, fit)
 
 
@@ -237,37 +241,32 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     return best
 
 
-def tail_integral(f, start: float, tail: TailDecay, budget: QuadratureBudget,
-                  extra_power: float = 0.0) -> complex:
-    """int_start^inf f(x) dx with f's decay declared by `tail`.
+def tail_integral(f, start: float, tail: TailDecay, budget: QuadratureBudget) -> complex:
+    """int_start^inf f(x) dx, with `tail` the declaration of f itself: a
+    kernel's x^-p enters as tail.over_power(p).
 
-    extra_power states an additional x^-extra_power factor already inside f
-    (it sharpens the algebraic bound used for truncation decisions).
+    A tail that admits no integral (TailDecay.admits_inverse_power) is
+    refused with TailNotIntegrable.  A fast (TAIL_EXP) tail is cut where
+    |f(x)| x first falls below the target, probed at start + 1 and then over
+    spans growing by 1.6; an algebraic one is summed over geometric panels;
+    an oscillatory one over half periods (_oscillatory_tail).  A tail still
+    above the target after the last probe or panel raises TailBoundUnmet.
     """
-    if tail.kind == TAIL_NONE:
-        raise TailNotIntegrable("tail decay declared as none")
+    if not tail.admits_inverse_power(0.0):
+        raise TailNotIntegrable(
+            f"declared tail ({tail.kind}, power {tail.power}) is not integrable")
     target = budget.abs_tol * _TAIL_SAFETY
     if tail.kind == TAIL_EXP:
-        rate = tail.rate or 1.0
-        # |f| <= C exp(-rate x): calibrate C at start, truncate accordingly
-        fs = abs(complex(np.asarray(f(np.array([start])))[0]))
-        c_est = max(fs, 1e-300) * math.exp(rate * start)
-        cut = max(start + 1.0, math.log(max(c_est, 1e-300) / (target * rate)) / rate)
-        return adaptive_quad(f, start, cut, budget)
-    if tail.kind == TAIL_SUPEREXP:
-        cut = start + 1.0
-        span = 1.0
-        while cut < start + 700.0:
-            val = abs(complex(np.asarray(f(np.array([cut])))[0]))
-            if val * max(cut, 1.0) < target:
-                break
+        cut, span = start + 1.0, 1.0
+        for _ in range(_MAX_PROBES):
+            if abs(complex(np.asarray(f(np.array([cut])))[0])) * max(cut, 1.0) < target:
+                return adaptive_quad(f, start, cut, budget)
             span *= 1.6
             cut += span
-        return adaptive_quad(f, start, cut, budget)
+        raise TailBoundUnmet(f"fast tail still above {target:g} after "
+                             f"{_MAX_PROBES} probes up to x = {cut - span:g}")
     if tail.kind == TAIL_ALG:
-        p = (tail.power or 0.0) + extra_power
-        if p <= 1.0:
-            raise TailNotIntegrable(f"algebraic tail power {p:g} <= 1")
+        p = tail.power
         # geometric panels [start 2^j, start 2^{j+1}]: scale-similar integrand,
         # remaining tail bounded by the last panel times a geometric factor
         total = 0.0 + 0.0j
@@ -286,28 +285,23 @@ def tail_integral(f, start: float, tail: TailDecay, budget: QuadratureBudget,
                 return total
         raise TailBoundUnmet(
             f"algebraic tail (power {p:g}) did not reach the bound {target:g}")
-    if tail.kind == TAIL_OSC_ALG:
-        p = (tail.power or 0.0) + extra_power
-        if p <= 0.5:
-            raise TailNotIntegrable(
-                f"oscillatory tail with envelope power {p:g} <= 0.5 is not summable here")
-        return _oscillatory_tail(f, start, tail, budget, p)
-    raise TailNotIntegrable(f"unknown tail kind {tail.kind!r}")
+    return _oscillatory_tail(f, start, tail, budget, tail.power or 0.0)
 
 
 def regular_integral(f, lo: float, hi: float,
                      endpoint_nu: float = 0.0,
                      budget: QuadratureBudget | None = None,
-                     tail: TailDecay | None = None,
-                     tail_extra_power: float = 0.0) -> complex:
-    """Adaptive integral with optional endpoint exponent at lo and declared tail."""
+                     tail: TailDecay | None = None) -> complex:
+    """int_lo^hi f(x) dx, with an integrable (x - lo)^-endpoint_nu blow-up of
+    f at lo.  hi = inf needs `tail`, the declaration of f itself (see
+    tail_integral)."""
     budget = budget or QuadratureBudget()
     if hi == math.inf:
         if tail is None:
             raise TailNotIntegrable("infinite upper limit requires a tail declaration")
         split = max(2.0 * abs(lo), lo + 1.0, 1.0)
         head = quad_power_endpoint(f, lo, split, endpoint_nu, budget)
-        return head + tail_integral(f, split, tail, budget, tail_extra_power)
+        return head + tail_integral(f, split, tail, budget)
     return quad_power_endpoint(f, lo, hi, endpoint_nu, budget)
 
 
@@ -331,12 +325,12 @@ def _pv_core(h, omega: float, d: float, budget: QuadratureBudget) -> complex:
 def pv_linear(h, omega: float, lo: float, hi: float,
               budget: QuadratureBudget | None = None,
               tail: TailDecay | None = None,
-              endpoint_nu: float = 0.0,
-              tail_extra_power: float = 1.0) -> complex:
+              endpoint_nu: float = 0.0) -> complex:
     """PV int_lo^hi h(x)/(omega-x) dx, pole at omega in (lo, hi).
 
-    h must be analytic at omega.  `tail` declares h's decay when hi = inf;
-    `endpoint_nu` declares an integrable x^-nu blow-up of h at lo (lo finite).
+    h must be analytic at omega.  `tail` declares h itself when hi = inf (the
+    kernel's x^-1 is added here); `endpoint_nu` declares an integrable x^-nu
+    blow-up of h at lo (lo finite).
     The bare-kernel principal value over the symmetric window vanishes, so the
     subtraction needs no explicit log term; the outer pieces contribute
     h(omega) ln|(omega-lo)/(hi-omega)| implicitly through direct integration.
@@ -359,7 +353,7 @@ def pv_linear(h, omega: float, lo: float, hi: float,
     if hi == math.inf:
         split = omega + max(1.0, omega)
         out += adaptive_quad(kern, omega + d, split, budget)
-        out += tail_integral(kern, split, tail, budget, extra_power=tail_extra_power)
+        out += tail_integral(kern, split, tail.over_power(1.0), budget)
     else:
         out += adaptive_quad(kern, omega + d, hi, budget)
     return out
@@ -415,8 +409,7 @@ def _odd_over_x(f: AnalyticFunction, a: float, budget: QuadratureBudget) -> comp
     if a > s:
         for g, sign in ((f, 1.0), (fr, -1.0)):
             value += sign * regular_integral(lambda x, g=g: g.evaluate(x) / x, s, a,
-                                             budget=budget, tail=g.tail,
-                                             tail_extra_power=1.0)
+                                             budget=budget, tail=g.tail.over_power(1.0))
     return value
 
 
@@ -442,23 +435,31 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
 
     An input outside the kernel's domain (check_domain) is refused, and so
     is a non-finite value, which comes from a pole of f on the range (for
-    the full-line kernels, on [-a, 0)).
+    the full-line kernels, on [-a, 0)).  At a = inf a declared tail of f
+    (both, for the full-line kernels) that does not admit the kernel's decay
+    is refused before any quadrature.
     """
     check_domain(variant, nu, omega, a)
     budget = budget or QuadratureBudget()
     pole = abs(omega)
+    # the kernel falls like x^-(1+nu), one power faster under omega/(omega+x)
+    decay = (2.0 if variant == "sym_omega" else 1.0) + nu
+    tails = (f.tail, f.tail_neg) if variant.startswith("full_line") else (f.tail,)
+    if a == math.inf and not all(t.admits_inverse_power(decay) for t in tails):
+        raise TailNotIntegrable(f"{variant}: the declared tails of {f.name} do not "
+                                f"admit x^-{decay:g} at infinity")
 
     def weighted(g: AnalyticFunction):
         return (lambda x: g.evaluate(x) * x ** (-nu)) if nu > 0 else g.evaluate
 
     def pv(g: AnalyticFunction) -> complex:
-        return pv_linear(weighted(g), pole, 0.0, a, budget=budget, tail=g.tail,
-                         endpoint_nu=nu, tail_extra_power=1.0 + nu)
+        return pv_linear(weighted(g), pole, 0.0, a, budget=budget,
+                         tail=g.tail.over_power(nu), endpoint_nu=nu)
 
     def reg(g: AnalyticFunction) -> complex:
         h = weighted(g)
         return regular_integral(lambda x: h(x) / (pole + x), 0.0, a, endpoint_nu=nu,
-                                budget=budget, tail=g.tail, tail_extra_power=1.0 + nu)
+                                budget=budget, tail=g.tail.over_power(decay))
 
     if variant in ("sym_omega", "sym_x"):
         over_omega = variant == "sym_omega"
@@ -467,9 +468,9 @@ def pv_transform(variant: str, f: AnalyticFunction, nu: float, omega: float,
             return (omega if over_omega else x) * f.evaluate(x) * x ** (-nu) / (omega + x)
 
         # sym_x: x^(1-nu) is bounded at the origin
-        value = pv_linear(sym, omega, 0.0, a, budget=budget, tail=f.tail,
-                          endpoint_nu=nu if over_omega else 0.0,
-                          tail_extra_power=(2.0 if over_omega else 1.0) + nu)
+        value = pv_linear(sym, omega, 0.0, a, budget=budget,
+                          tail=f.tail.over_power((1.0 if over_omega else 0.0) + nu),
+                          endpoint_nu=nu if over_omega else 0.0)
     elif variant == "stieltjes":
         value = reg(f)
     elif variant == "one_sided":

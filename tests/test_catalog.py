@@ -146,6 +146,17 @@ def test_derived_kind_and_tolerance():
         assert item.kind == ("finite_part" if item_id.startswith("D") else "hilbert")
 
 
+@pytest.mark.parametrize("omega", [2.6, 3.0])
+def test_c31_past_gamma_overflow(omega):
+    # the series needs terms past n = 86, where (2n)! leaves the float range;
+    # against the PV oracle (0.39637319933584 and 0.35735356151156)
+    from fpint import funcmodel as fm
+    from fpint import pvoracle as pv
+    got = cat.eval_closed_form("C.31", {"a": 1.0}, omega=omega)
+    want = pv.pv_transform("one_sided", fm.builtin("fermi", a=1.0), 0.0, omega, math.inf)
+    assert abs(got - want) < 1e-6 * abs(want)
+
+
 def test_c18_past_gamma_overflow():
     # at omega/s = 0.8 the series runs past n + mu = 171, where math.gamma
     # overflows; the closed form then weights its terms in log space

@@ -90,6 +90,15 @@ class TestInfinite:
         v_fin = fp.fp_series_finite(f, fp.FpKernel(2, 0.3, 40.0)).value
         assert rel(v_fin, v_inf) < 1e-12
 
+    @pytest.mark.parametrize("a,k", [(1.0426, 9), (0.7057, 7)])
+    def test_j0_squared_steep_kernel_generic(self, a, k):
+        # the oscillatory tail's Wynn estimate broke down here (3.0e15 at k = 9
+        # against 1.0e-3): a relative guard and a bracket on it
+        f = fm.builtin("j0_squared", a=a)
+        got = fp.resolve_fp(f, k, 0.0, math.inf, use_hook=False)
+        assert got.route == "split_tail"
+        assert rel(got.value, f.fp_hook(k, 0.0, math.inf)) < 1e-9
+
     def test_tail_not_integrable(self):
         f = fm.builtin("const")
         with pytest.raises(fp.TailNotIntegrable):

@@ -184,6 +184,21 @@ def test_scaled_keeps_hook():
     assert abs(g.fp_hook(1, 0.5, math.inf) - 3.0 * f.fp_hook(1, 0.5, math.inf)) < 1e-14
 
 
+def test_tail_over_power():
+    alg = fm.TailDecay(fm.TAIL_ALG, power=1.0)
+    assert alg.over_power(2.5) == fm.TailDecay(fm.TAIL_ALG, power=3.5)
+    osc = fm.builtin("j0_squared", a=2.0).tail
+    assert osc.over_power(1.0) == fm.TailDecay(fm.TAIL_OSC_ALG, power=2.0,
+                                               phase_coeff=4.0, phase_power=1.0)
+    for t in (fm.TailDecay(fm.TAIL_EXP), fm.tail_none()):
+        assert t.over_power(3.0) is t
+    # x^m g = f: g's tail is f's over x^m
+    f = fm.builtin("sin", a=1.0)
+    assert fm.factor_zero(f)[1].tail == f.tail.over_power(1.0)
+    with pytest.raises(TypeError):
+        fm.TailDecay(fm.TAIL_EXP, rate=1.0)
+
+
 def test_tail_admissibility():
     assert fm.builtin("exp_decay", a=1.0).tail.admits_inverse_power(1.0)
     assert not fm.builtin("const").tail.admits_inverse_power(1.0)

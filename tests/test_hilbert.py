@@ -540,6 +540,22 @@ class TestGrid:
         assert repr(row) == repr(hb.evaluate_transform(spec, f))
 
 
+class TestGenericRoute:
+    # points where the generic route returned ~1e12 without refusing: the
+    # j0^2 tails of its steep finite parts took a broken-down Wynn estimate
+    @pytest.mark.parametrize("a,omega", [(1.0426, 0.4662), (0.7057, 0.7595)])
+    def test_c6_sym_x_j0_squared(self, a, omega):
+        from fpint.catalog import eval_closed_form
+        got = hb.sym_x(fm.builtin("j0_squared", a=a), 0.0, omega, fp_mode="generic").value
+        assert rel(got, eval_closed_form("C.6", {"a": a}, omega=omega)) < 1e-9
+
+    def test_c28_full_line_branch_airy(self):
+        from fpint.catalog import eval_closed_form
+        a, nu, omega = 1.2652, 0.682, 0.3993
+        got = hb.full_line_branch(fm.builtin("airy", a=a), nu, omega, fp_mode="generic").value
+        assert rel(got, eval_closed_form("C.28", {"a": a, "nu": nu}, omega=omega)) < 1e-9
+
+
 class TestPoleOnRange:
     # inv_linear reflected has its pole at x = c inside [0, a = 2]: every
     # finite part of the omega series is inf or nan, a refusal and not a hang

@@ -25,6 +25,18 @@ class TestRegular:
         got = pv.regular_integral(lambda x: np.exp(-x), 0.0, math.inf, tail=f.tail)
         assert rel(got, 1.0) < 1e-10
 
+    def test_slow_exponential_is_probed(self):
+        # a fast tail is cut where probes of f fall below the target, however
+        # far out that is: here x ~ 1.2e4, not a fixed distance from the split
+        f = fm.builtin("exp_decay", a=0.003)
+        got = pv.regular_integral(f.evaluate, 0.0, math.inf, tail=f.tail)
+        assert rel(got, 1.0 / 0.003) < 1e-12
+
+    def test_fast_tail_that_does_not_fall_refused(self):
+        with pytest.raises(pv.TailBoundUnmet):
+            pv.regular_integral(lambda x: np.ones_like(x), 0.0, math.inf,
+                                tail=fm.TailDecay(fm.TAIL_EXP))
+
     def test_quartic_profile(self):
         # int_0^inf dxi/(xi^4 - 2 b xi^2 + 1) = pi/(2 sqrt(2(1-b)))
         f = fm.builtin("rational_quartic", beta=0.5, omega_j=1.0)
@@ -94,6 +106,22 @@ class TestTransformOracle:
         f = fm.builtin("inv_cubic", c=1.0)
         with pytest.raises(pv.DomainError):
             pv.pv_transform("full_line", f, 0.0, omega, 2.0)
+
+
+    @pytest.mark.parametrize("omega", [0.4, -0.4])
+    @pytest.mark.parametrize("variant,nu", [("full_line", 0.0), ("full_line_branch", 0.3)])
+    @pytest.mark.parametrize("name,kw", [("inv_linear", dict(c=1.0)), ("inv_cubic", dict(c=1.0)),
+                                         ("inv_power_shift", dict(s=1.0, mu=2.0)),
+                                         ("exp_decay_shift", dict(a=1.0, c=1.0))])
+    def test_missing_negative_tail_refused_before_quadrature(self, name, kw, variant, nu,
+                                                             omega):
+        # no tail declared on x < 0, where f has its pole: refused from the
+        # declarations, not after integrating through the pole
+        f = fm.builtin(name, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pv.TailNotIntegrable):
+                pv.pv_transform(variant, f, nu, omega, math.inf)
 
 
 class TestFullLineAtOmegaZero:
@@ -187,14 +215,20 @@ class TestTails:
         t0 = 3.0
         tail = fm.TailDecay(fm.TAIL_OSC_ALG, power=0.0, phase_coeff=1.0,
                             phase_power=1.0)
-        got = pv.tail_integral(lambda x: np.exp(1j * x) / x, t0, tail, B,
-                               extra_power=1.0)
+        got = pv.tail_integral(lambda x: np.exp(1j * x) / x, t0, tail.over_power(1.0), B)
         want = complex(mp.e1(-1j * t0))   # rotate t = -iu in E_1
         assert rel(got, want) < 1e-8
 
     def test_tail_undeclared(self):
         with pytest.raises(pv.TailNotIntegrable):
             pv.tail_integral(lambda x: 1.0 / x, 1.0, fm.tail_none(), B)
+
+    @pytest.mark.parametrize("tail", [fm.TailDecay(fm.TAIL_ALG, power=0.5).over_power(0.5),
+                                      fm.TailDecay(fm.TAIL_OSC_ALG, power=0.0,
+                                                   phase_coeff=1.0).over_power(0.5)])
+    def test_tail_not_integrable(self, tail):
+        with pytest.raises(pv.TailNotIntegrable):
+            pv.tail_integral(lambda x: 1.0 / x, 1.0, tail, B)
 
 
 class TestAdaptiveNonFinite:
