@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import fnmatch
+import functools
 import io
 import json
 import math
@@ -288,6 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs about a millisecond, and
+    parsing leaves it unchanged, so consecutive main() calls share it."""
+    return build_parser()
+
+
 def _apply_job_file(args: argparse.Namespace) -> None:
     if not args.job:
         return
@@ -322,8 +330,7 @@ def _attach_negative_omega(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_omega(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_negative_omega(sys.argv[1:] if argv is None else argv))
     try:
         _apply_job_file(args)
         for field in getattr(args, "required_fields", ()):

@@ -8,7 +8,9 @@ integrand fall below the target, an algebraic one is summed over geometric
 panels, and an oscillatory one over half-period panels between phase
 crossings, with Wynn-epsilon and a power-ladder fit accelerating the partial
 sums (conditionally convergent e^{iax}- and Airy-type tails need this).  The
-panels between two estimator checks are evaluated in one integrand call.
+fit's exponents are the lattice the phase implies: integer steps for a
+linear phase, half steps for the Airy phase x^{3/2}.  The panels between two
+estimator checks are evaluated in one integrand call.
 Principal values use singularity subtraction in the symmetric window around
 the pole.  The transform oracle builds every variant from one PV and one
 Stieltjes integral at |omega|: the symmetric kernels are a PV with the weight
@@ -20,6 +22,7 @@ is the one statement of each kernel's domain.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -62,11 +65,15 @@ def adaptive_quad(f, a: float, b: float, budget: QuadratureBudget) -> complex:
     A non-finite error estimate means f is not finite at a node, and no
     bisection makes it finite again: the integral ends at once, with its
     value if that is infinite and with nan otherwise.  Callers refuse both.
+
+    The interval bisected next is the one with the largest error, the newest
+    of equal ones: a heap keyed on (-err, tick), tick falling at each push.
     """
     if a == b:
         return 0.0
     val, err = _panel(f, a, b)
-    intervals = [(err, a, b, val)]
+    heap = [(-err, 0, a, b, val)]
+    tick = 0
     total = val
     total_err = err
     for _ in range(_MAX_SUBDIVISIONS):
@@ -75,20 +82,22 @@ def adaptive_quad(f, a: float, b: float, budget: QuadratureBudget) -> complex:
         tol = max(budget.abs_tol, budget.rel_tol * abs(total))
         if total_err <= tol:
             return total
-        intervals.sort(key=lambda t: t[0])
-        err0, x0, x1, v0 = intervals.pop()
+        neg_err0, _, x0, x1, v0 = heapq.heappop(heap)
+        err0 = -neg_err0
         mid = 0.5 * (x0 + x1)
         if mid == x0 or mid == x1:
             # interval at floating-point resolution; accept its estimate
-            intervals.append((0.0, x0, x1, v0))
+            tick -= 1
+            heapq.heappush(heap, (-0.0, tick, x0, x1, v0))
             total_err -= err0
             continue
         vl, el = _panel(f, x0, mid)
         vr, er = _panel(f, mid, x1)
         total += vl + vr - v0
         total_err += el + er - err0
-        intervals.append((el, x0, mid, vl))
-        intervals.append((er, mid, x1, vr))
+        heapq.heappush(heap, (-el, tick - 1, x0, mid, vl))
+        heapq.heappush(heap, (-er, tick - 2, mid, x1, vr))
+        tick -= 2
     tol = max(budget.abs_tol, budget.rel_tol * abs(total))
     if total_err > 100.0 * tol:
         raise QuadratureFailure(
@@ -156,9 +165,19 @@ def _fixed_panels(f, edges: list[float]) -> list[complex]:
             for k, (_, half) in enumerate(panels)]
 
 
-def _power_ladder_fit(xs: np.ndarray, sums: np.ndarray, gamma: float) -> complex:
-    """Fit partial sums to S + sum_i c_i x^-(gamma + i) and return S."""
-    cols = [np.ones_like(xs)] + [xs ** (-(gamma + 0.5 * i)) for i in range(6)]
+def _power_ladder_fit(xs: np.ndarray, sums: np.ndarray, gamma: float,
+                      step: float) -> complex:
+    """Fit partial sums to S + sum_{i<6} c_i x^-(gamma + step i) and return S.
+
+    The exponents are the lattice of the remainder's asymptotic series.  At
+    the full-period ends of a phase c x^q the remainder expands in x^-1 (the
+    series of the envelope and of the kernel) and in x^-q (one per
+    integration by parts).  For q = 1 that is the integer lattice, step 1;
+    for the Airy phase q = 3/2 the steps 1 and 3/2 make the half-integer one,
+    step 0.5 (_ladder_step).  Columns off the lattice spend the fit's six
+    terms on powers that are not there: with half steps on a linear phase
+    the J0^2 tails converge only algebraically."""
+    cols = [np.ones_like(xs)] + [xs ** (-(gamma + step * i)) for i in range(6)]
     design = np.column_stack(cols)
     norms = np.linalg.norm(design, axis=0)
     # columns whose powers underflow to 0 on these abscissae carry no information
@@ -167,22 +186,30 @@ def _power_ladder_fit(xs: np.ndarray, sums: np.ndarray, gamma: float) -> complex
     return complex((coef / norms)[0])
 
 
-def _tail_vote(sums: list[complex], rights: list[float], gamma: float,
+def _ladder_step(phase_power: float) -> float:
+    """Step of the power-ladder fit for the phase c x^q: 1 for an integer q
+    (the linear phase of e^{iax}, J0^2 and sin), else 0.5 (the Airy phase
+    x^{3/2}).  See _power_ladder_fit."""
+    return 1.0 if float(phase_power).is_integer() else 0.5
+
+
+def _tail_vote(sums: list[complex], rights: list[float], gamma: float, step: float,
                prev: tuple[complex, complex] | None):
     """One estimator check on the partial sums over the half-period segments
     ending at rights: Wynn epsilon on the last 17 sums against a power-ladder
-    fit of the paired sums over their last half and three quarters, each
-    scored by its self-consistency since prev, the state the check before
-    returned (None at the first).  Wynn is kept only inside twice the last
-    segment of the last sum: a limit farther out than that is a breakdown of
-    the epsilon table, however consistent.  Returns (estimate, error, state)."""
+    fit (exponents gamma + step i) of the paired sums over their last half
+    and three quarters, each scored by its self-consistency since prev, the
+    state the check before returned (None at the first).  Wynn is kept only
+    inside twice the last segment of the last sum: a limit farther out than
+    that is a breakdown of the epsilon table, however consistent.  Returns
+    (estimate, error, state)."""
     # full-period pairing removes the alternating component
     paired = 0.5 * (np.asarray(sums[:-1:2], dtype=complex)
                     + np.asarray(sums[1::2], dtype=complex))
     xs = np.asarray(rights[1::2], dtype=float)[:len(paired)]
     n = len(paired)
-    fit = _power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma)
-    fit_b = _power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma)
+    fit = _power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma, step)
+    fit_b = _power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma, step)
     wynn = _wynn_epsilon(sums[-17:])
     wynn_prev, fit_prev = prev or (None, None)
     err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
@@ -200,9 +227,11 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     Wynn epsilon handles the purely oscillatory (alternating) component;
     integrands with a non-oscillatory algebraic mean (J0^2-type) defeat it,
     so full-period pairing plus a known-exponent power-ladder fit of the
-    partial sums provides the second estimator.  Agreement of the two, or
-    self-consistency of the fit across windows, is the stopping test; the
-    vote at each check is _tail_vote.
+    partial sums provides the second estimator.  The fit's exponents step by
+    1 for a linear phase and by 0.5 for the Airy phase (_ladder_step); on
+    that lattice the J0^2 tails meet the tolerance within about ten checks.
+    Agreement of the two, or self-consistency of the fit across windows, is
+    the stopping test; the vote at each check is _tail_vote.
 
     The segment edges depend only on the phase, so f is called once per
     window: on the nodes of segments 0-16 before the first check, then of the
@@ -214,6 +243,7 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
     q = tail.phase_power or 1.0
     phi0 = c * start ** q
     gamma = max(envelope_power - 1.0, 0.25)
+    step = _ladder_step(q)
     sums: list[complex] = []
     rights: list[float] = []
     partial = 0.0 + 0.0j
@@ -229,7 +259,7 @@ def _oscillatory_tail(f, start: float, tail: TailDecay,
             sums.append(partial)
         rights += window
         left = window[-1]
-        est, err, vote = _tail_vote(sums, rights, gamma, vote)
+        est, err, vote = _tail_vote(sums, rights, gamma, step, vote)
         if err < best_err:
             best, best_err = est, err
         if err < max(budget.abs_tol, budget.rel_tol * abs(est)):

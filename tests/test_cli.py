@@ -282,3 +282,29 @@ class TestJobFile:
         job.write_text(json.dumps({"variant": "one-sided", "bogus": 1}))
         code, _, _ = run(capsys, ["eval-hilbert", "--job", str(job)])
         assert code == 2
+
+
+def test_consecutive_calls_share_one_parser(capsys, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"variant": "one-sided", "function": "exp_decay:a=1",
+                               "omega": "0.2", "hash-mode": True}))
+    argvs = [
+        ["list", "--kernel", "sym_omega", "--hash-mode"],
+        ["eval-hilbert", "--job", str(job)],
+        # the job file's function must not carry over: still a schema error
+        ["eval-hilbert", "--variant", "one-sided", "--omega", "0.5"],
+        ["eval-fp", "--function", "exp_decay:a=1", "--k", "1", "--nu", "0.5",
+         "--upper", "inf", "--format", "csv", "--hash-mode"],
+        ["verify", "--items", "D.19", "--hash-mode"],
+        ["eval-hilbert", "--job", str(job)],
+    ]
+    cli._parser.cache_clear()
+    shared = [run(capsys, argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+    assert shared[1] == shared[-1]

@@ -549,6 +549,21 @@ class TestGenericRoute:
         got = hb.sym_x(fm.builtin("j0_squared", a=a), 0.0, omega, fp_mode="generic").value
         assert rel(got, eval_closed_form("C.6", {"a": a}, omega=omega)) < 1e-9
 
+    # such points among perfbench's PointWorkload(seed, generic=True)
+    # requests (C.5 at seed 2, C.8 at seed 20240801): -2.1e12 to -1.7e14
+    @pytest.mark.parametrize("a,omega", [(0.9986588832840171, 0.5381776629264028),
+                                         (0.7159733930606762, 0.6421737863454946)])
+    def test_c5_sym_omega_j0_squared(self, a, omega):
+        from fpint.catalog import eval_closed_form
+        got = hb.sym_omega(fm.builtin("j0_squared", a=a), 0.0, omega, fp_mode="generic").value
+        assert rel(got, eval_closed_form("C.5", {"a": a}, omega=omega)) < 1e-9
+
+    def test_c8_sym_x_j0_squared_nu(self):
+        from fpint.catalog import eval_closed_form
+        a, nu, omega = 0.9846565588867223, 0.38073874747617553, 0.6356811218814757
+        got = hb.sym_x(fm.builtin("j0_squared", a=a), nu, omega, fp_mode="generic").value
+        assert rel(got, eval_closed_form("C.8", {"a": a, "nu": nu}, omega=omega)) < 1e-9
+
     def test_c28_full_line_branch_airy(self):
         from fpint.catalog import eval_closed_form
         a, nu, omega = 1.2652, 0.682, 0.3993

@@ -273,7 +273,7 @@ def _per_panel_tail(f, start, tail, budget, envelope_power):
         rights.append(right)
         if i >= 16 and i % 8 == 0:
             checks += 1
-            est, err, vote = pv._tail_vote(sums, rights, gamma, vote)
+            est, err, vote = pv._tail_vote(sums, rights, gamma, pv._ladder_step(q), vote)
             if err < best_err:
                 best, best_err = est, err
             if err < max(budget.abs_tol, budget.rel_tol * abs(est)):
@@ -288,8 +288,8 @@ def _j0_squared_tail():
 
 
 def _j0_squared_slow_tail():
-    # envelope x^-2 with that mean: no estimator meets the tolerance, so
-    # every window up to the last check is summed and the best estimate kept
+    # envelope x^-2 with that mean: the fit meets the tolerance only on the
+    # integer exponent lattice of its linear phase
     f = fm.builtin("j0_squared", a=1.0426)
     return (lambda x: f.evaluate(x) / (0.5 - x)), 3.0, f.tail, 2.0
 
@@ -323,3 +323,40 @@ class TestWindowedTail:
         # one call per estimator check: segments 0-16, then 8 at a time
         assert len(calls) == checks
         assert sum(calls) == 43 * (17 + 8 * (checks - 1))
+
+
+class TestPowerLadder:
+    def test_slow_j0_squared_tail_ends_early(self):
+        g, start, tail, power = _j0_squared_slow_tail()
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return g(x)
+
+        pv._oscillatory_tail(counted, start, tail, B, power)
+        # one call per check; with half steps the fit runs all 73
+        assert len(calls) <= 12
+
+    def test_slow_j0_squared_tail_matches_full_fit(self):
+        # the integer-ladder fit of the paired sums over the last three
+        # quarters of all 600 segments
+        g, start, tail, power = _j0_squared_slow_tail()
+        c = tail.phase_coeff
+        edges = [start] + [(c * start + (k + 1) * math.pi) / c
+                           for k in range(pv._MAX_SEGMENTS)]
+        sums = np.cumsum(pv._fixed_panels(g, edges))
+        paired = 0.5 * (sums[:-1:2] + sums[1::2])
+        xs = np.asarray(edges[2::2])
+        n = len(paired)
+        want = pv._power_ladder_fit(xs[n // 4:], paired[n // 4:], power - 1.0, 1.0)
+        got = pv._oscillatory_tail(g, start, tail, B, power)
+        assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("step", [1.0, 0.5])
+    def test_fit_recovers_limit_on_its_lattice(self, step):
+        xs = np.linspace(20.0, 60.0, 30)
+        coeffs = [0.7, -1.3, 2.1, 0.4, -0.9, 1.6]
+        sums = -0.25 + sum(c * xs ** -(1.0 + step * i) for i, c in enumerate(coeffs))
+        got = pv._power_ladder_fit(xs, sums.astype(complex), 1.0, step)
+        assert abs(got + 0.25) < 1e-12
