@@ -462,7 +462,7 @@ class CatalogItem:
     kernel: str                    # transform variant, or "finite_part"
     function_family: str
     closed_form: Callable[..., complex]
-    theorem_route: Callable[..., complex]
+    theorem_route: Callable[..., complex]      # (params, fp_mode="auto")
     oracle: Callable[..., complex]
     sampler: Callable[[int], list[dict]]
     linked_fp_items: tuple[str, ...] = ()
@@ -507,10 +507,10 @@ def _c_item(item_id, description, domain, kernel, family, closed, builtin_name,
         f = builtin(builtin_name, **{p: params[p] for p in f_params})
         return f, (params["nu"] if "nu" in space else 0.0)
 
-    def theorem(params):
+    def theorem(params, fp_mode="auto"):
         f, nu = transform(params)
         spec = hb.TransformSpec(kernel, params["omega"], nu, math.inf)
-        return hb.evaluate_transform(spec, f).value
+        return hb.evaluate_transform(spec, f, fp_mode=fp_mode).value
 
     def oracle(params):
         f, nu = transform(params)
@@ -638,10 +638,11 @@ def _d_item(position: int, row: dtable.DItem) -> CatalogItem:
         f, kernel = integral(params)
         return fp_epsilon_oracle(f.evaluate, kernel, tail=f.tail).value
 
+    # fp_infinite is the generic route itself: every fp_mode runs it
     return CatalogItem(
         row.item_id, row.description, row.domain, "finite_part", row.builtin,
         lambda params: row.evaluate(**params),
-        lambda params: fp_infinite(*integral(params)).value, oracle,
+        lambda params, fp_mode="auto": fp_infinite(*integral(params)).value, oracle,
         _three_samples(row.sample_space, row.integer_params, None, 100 + position),
         tuple(c.item_id for c in C_ITEMS.values() if row.item_id in c.linked_fp_items))
 
@@ -702,6 +703,7 @@ class VerificationReport:
     samples: list[SampleResult] = field(default_factory=list)
     runtime: float = 0.0
     notes: str = ""
+    route: str = "auto"
 
     @property
     def passed(self) -> bool:
@@ -719,21 +721,25 @@ def _pairwise_rel(vals: list[complex]) -> float:
 
 def verify_item(item_id: str, tolerance: float | None = None,
                 seed: int = SAMPLE_SEED,
-                samples: list[dict] | None = None) -> VerificationReport:
+                samples: list[dict] | None = None,
+                route: str = "auto") -> VerificationReport:
     """Cross-check closed form vs theorem route vs oracle on >= 3 samples.
 
+    route is the theorem route's fp_mode: "generic" bypasses the closed-form
+    finite-part hooks of the C items, so that the paper's general Maclaurin
+    + tail construction is checked; the D items' route is generic either way.
     Per-sample failures (domain violations, numerical errors) are recorded
     in the report rather than raised.
     """
     item = get_item(item_id)
     tol = tolerance if tolerance is not None else item.tolerance
-    report = VerificationReport(item_id, tol, seed, notes=item.notes)
+    report = VerificationReport(item_id, tol, seed, notes=item.notes, route=route)
     t0 = time.time()
     for params in (samples if samples is not None else item.sampler(seed)):
         res = SampleResult(params=dict(params))
         try:
             res.closed = complex(item.closed_form(params))
-            res.theorem = complex(item.theorem_route(params))
+            res.theorem = complex(item.theorem_route(params, fp_mode=route))
             res.oracle = complex(item.oracle(params))
             res.max_pairwise_rel = _pairwise_rel([res.closed, res.theorem, res.oracle])
             res.passed = res.max_pairwise_rel <= tol
@@ -745,8 +751,8 @@ def verify_item(item_id: str, tolerance: float | None = None,
 
 
 def verify_many(item_ids: list[str], tolerance: float | None = None,
-                seed: int = SAMPLE_SEED) -> list[VerificationReport]:
-    return [verify_item(i, tolerance, seed) for i in item_ids]
+                seed: int = SAMPLE_SEED, route: str = "auto") -> list[VerificationReport]:
+    return [verify_item(i, tolerance, seed, route=route) for i in item_ids]
 
 
 def _cx(v: complex | None) -> dict | None:
@@ -764,6 +770,7 @@ def reports_to_json(reports: list[VerificationReport], timestamp: str | None = N
                 "tolerance": r.tolerance,
                 "seed": r.seed,
                 "passed": r.passed,
+                "route": r.route,
                 **({"runtime_s": round(r.runtime, 6)} if timestamp is not None else {}),
                 "notes": r.notes,
                 "samples": [

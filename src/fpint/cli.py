@@ -54,8 +54,13 @@ def parse_function(text: str):
         raise SchemaError(str(exc)) from exc
 
 
+# Largest omega grid count: a grid holds its rows in memory, and a count
+# beyond this is refused (SchemaError) before anything is allocated.
+MAX_GRID_POINTS = 10 ** 6
+
+
 def parse_omega(text: str) -> list[float]:
-    """Scalar '0.5' or grid 'start:stop:count'."""
+    """Scalar '0.5' or grid 'start:stop:count', 1 <= count <= MAX_GRID_POINTS."""
     text = str(text)
     try:
         if ":" not in text:
@@ -66,8 +71,8 @@ def parse_omega(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise SchemaError(f"malformed omega {text!r}") from exc
-    if count < 1:
-        raise SchemaError("omega grid count must be >= 1")
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise SchemaError(f"omega grid count must be in [1, {MAX_GRID_POINTS}], got {count}")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -200,7 +205,8 @@ def _cmd_verify(args) -> int:
     wanted = [i for i in ids if fnmatch.fnmatch(i, args.items)]
     if not wanted:
         raise SchemaError(f"no catalog items match {args.items!r}")
-    reports = catalog.verify_many(wanted, tolerance=args.tol, seed=args.seed)
+    reports = catalog.verify_many(wanted, tolerance=args.tol, seed=args.seed,
+                                  route=args.route)
     timestamp = None if args.hash_mode else datetime.now(timezone.utc).isoformat()
     _write(args, catalog.reports_to_json(reports, timestamp) if args.format == "json"
            else catalog.reports_to_csv(reports))
@@ -275,6 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", default="*", help="glob over item ids, e.g. 'C.*'")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=catalog.SAMPLE_SEED)
+    p.add_argument("--route", choices=hb.FP_MODES, default="auto",
+                   help="theorem route of the C items: auto (closed-form finite "
+                        "parts where known) or generic (Maclaurin + tail only)")
     _add_common(p)
     p.set_defaults(func=_cmd_verify, required_fields=())
 

@@ -36,6 +36,10 @@ the arms at unit omega (z = +-1, a row uses z * omega), each finite part (split
 hint: the grid's max |omega|), each prefix integral, and g(+-omega) as arrays.
 Per omega stay the spec checks, the margin, the series sum and its stop rules,
 the cancellation check and the notes.  evaluate_transform is the one-point grid.
+The sum (precision.sum_series) stops after three small terms; where
+min(a, rho0) is finite, its terms fall like (|omega| / min(a, rho0))^k, and it
+also stops once its Wynn-epsilon estimate settles, or is refused when six
+term ratios reach RATIO_LIMIT.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .funcmodel import AnalyticFunction, factor_zero, scaled
 from .precision import PrecisionConfig, default_precision, sum_series
 from .pvoracle import VARIANTS, check_domain, neg_weight, regular_integral
 
-_FP_MODES = ("auto", "generic")
+FP_MODES = ("auto", "generic")
 
 OMEGA_MARGIN = 0.99
 RATIO_LIMIT = 0.999
@@ -180,7 +184,8 @@ class _Engine:
 
         total, used, tail, peak_term = sum_series(
             term, self.precision.rel_tol, self.precision.max_terms,
-            ratio_limit=RATIO_LIMIT if self.bounded_domain else None)
+            ratio_limit=RATIO_LIMIT if self.bounded_domain else None,
+            wynn=self.bounded_domain)
         _check_cancellation(peak_term, noise, abs(total), notes)
         return total, used, tail
 
@@ -293,8 +298,8 @@ def evaluate_grid(variant: str, f: AnalyticFunction, omegas, nu: float = 0.0,
     fp_mode="generic" bypasses the closed-form finite-part hooks;
     force_generic_parity skips the even-g reduction of the full-line kernels.
     """
-    if fp_mode not in _FP_MODES:
-        raise DomainError(f"unknown fp_mode {fp_mode!r}; one of {_FP_MODES}")
+    if fp_mode not in FP_MODES:
+        raise DomainError(f"unknown fp_mode {fp_mode!r}; one of {FP_MODES}")
     specs, refusal, reports = [], None, []
     for omega in omegas:
         try:

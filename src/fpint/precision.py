@@ -18,6 +18,11 @@ DEFAULT_MAX_TERMS = 10_000
 # small term).
 CONSECUTIVE_SMALL_TERMS = 3
 
+# Columns of the Wynn epsilon table kept by sum_series(wynn=True): column 6
+# is Shanks' e_3, exact for a sum of three geometric series.  Each term costs
+# O(WYNN_DEPTH); an unbounded table would cost O(k) at term k.
+WYNN_DEPTH = 6
+
 
 @dataclass(frozen=True)
 class PrecisionConfig:
@@ -58,9 +63,28 @@ def default_precision() -> PrecisionConfig:
     return PrecisionConfig()
 
 
+def _wynn_push(diag: list[complex], s: complex) -> list[complex]:
+    """The next ascending diagonal of Wynn's epsilon table, given the last one
+    and the new partial sum s: eps_0 = s, then the cross rule
+
+        eps_(j+1) = diag[j - 1] + 1 / (eps_j - diag[j])   (diag[-1] = 0)
+
+    up to column WYNN_DEPTH.  A column that has stopped moving,
+    |eps_j - diag[j]| <= 1e-14 |eps_j|, ends the diagonal there: a guard
+    relative to the column's value, since an absolute one lets 1/diff blow up.
+    """
+    new = [s]
+    for j in range(min(len(diag), WYNN_DEPTH)):
+        diff = new[j] - diag[j]
+        if abs(diff) <= 1e-14 * abs(new[j]):
+            break
+        new.append((diag[j - 1] if j else 0.0) + 1.0 / diff)
+    return new
+
+
 def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
-               first_stop: int = 4, ratio_limit: float | None = None
-               ) -> tuple[complex, int, float, float]:
+               first_stop: int = 4, ratio_limit: float | None = None,
+               wynn: bool = False) -> tuple[complex, int, float, float]:
     """Sum term(0) + term(1) + ... to convergence.
 
     A term is small when |term| <= rel_tol * max(|total|, 1e-3 * peak, 1e-300),
@@ -70,15 +94,27 @@ def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
     six consecutive term ratios >= ratio_limit past term 24 raise
     ConvergenceDomain: the series sits on its convergence boundary.
 
+    With wynn set, each partial sum also enters Wynn's epsilon table (at most
+    WYNN_DEPTH columns; _wynn_push), whose top even column is the estimate
+    of the sum.  Once CONSECUTIVE_SMALL_TERMS successive differences of the
+    estimate are small in the sense above, at index first_stop or later, the
+    estimate is returned.  For a series that falls only geometrically, like
+    (omega / rho0)^k near a finite radius, this needs far fewer terms.  The
+    small-term stop is tested first, so a series that stops by it returns
+    exactly what it returns without wynn.
+
     A term that is not finite (inf or nan) raises NoConvergence.
 
     Returns (total, terms used, tail, peak_term): tail is the largest |term|
-    from the last term above the floor on, peak_term the largest |term|.
+    from the last term above the floor on, or |est_n - est_(n-1)| when the
+    epsilon estimate is returned; peak_term is the largest |term|.
     """
     total = 0.0 + 0.0j
     peak = peak_term = tail = prev_mag = 0.0
-    small = 0
+    small = agree = 0
     ratios: deque[float] = deque(maxlen=6)
+    diag: list[complex] = []
+    est = None
     for k in range(max_terms):
         t = complex(term(k))
         total += t
@@ -105,4 +141,13 @@ def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
                         f"series term ratio ~{min(ratios):.4f} >= {ratio_limit}; "
                         "omega too close to min(a, rho0)")
             prev_mag = mag
+        if wynn:
+            diag = _wynn_push(diag, total)
+            prev_est, est = est, diag[(len(diag) - 1) & ~1]
+            if prev_est is not None:
+                step = abs(est - prev_est)
+                agree = agree + 1 if step <= rel_tol * max(abs(est), 1e-3 * peak,
+                                                            1e-300) else 0
+                if agree >= CONSECUTIVE_SMALL_TERMS and k >= first_stop:
+                    return est, k + 1, step, peak_term
     raise NoConvergence(f"series did not converge within {max_terms} terms")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fpint import cli
+from fpint import builtin, cli, pv_transform
 
 
 def run(capsys, argv):
@@ -138,6 +138,23 @@ class TestVerify:
         assert len(payload["reports"]) == 32
         assert all(r["passed"] for r in payload["reports"])
 
+    def test_generic_route(self, capsys, tmp_path):
+        # the C items' theorem routes without the closed-form finite parts
+        reports = {}
+        for route in ("auto", "generic"):
+            path = tmp_path / f"{route}.json"
+            code, _, _ = run(capsys, [
+                "verify", "--items", "C.*", "--route", route, "--seed", "1",
+                "--hash-mode", "--out", str(path)])
+            assert code == 0
+            reports[route] = json.loads(path.read_text())["reports"]
+        assert len(reports["generic"]) == 32
+        assert all(r["passed"] and r["route"] == "generic" for r in reports["generic"])
+        # another route, so other theorem values; the closed forms stay
+        auto, generic = reports["auto"][0]["samples"], reports["generic"][0]["samples"]
+        assert [s["closed_form"] for s in auto] == [s["closed_form"] for s in generic]
+        assert [s["theorem_route"] for s in auto] != [s["theorem_route"] for s in generic]
+
     def test_deterministic_bytes(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         for p in (p1, p2):
@@ -188,13 +205,24 @@ class TestExitCodes:
         assert (got, out) == (code, "")
         assert "Traceback" not in err
 
-    def test_omega_power_overflow_refused(self, capsys):
-        # fermi a=1 at omega = 3.05 < 0.99 pi: omega^k overflows, a typed refusal
-        code, out, err = run(capsys, [
+    def test_edge_point_answers(self, capsys):
+        # fermi a=1 at omega = 3.05 < 0.99 pi, where omega^k overflowed the
+        # plain sum: the epsilon exit answers
+        code, out, _ = run(capsys, [
             "eval-hilbert", "--variant", "one-sided", "--function", "fermi:a=1",
-            "--omega", "3.05"])
-        assert (code, out) == (3, "")
-        assert "ConvergenceDomain" in err and "Traceback" not in err
+            "--omega", "3.05", "--hash-mode"])
+        assert code == 0
+        row = json.loads(out)["results"][0]
+        want = pv_transform("one_sided", builtin("fermi", a=1.0), 0.0, 3.05, math.inf)
+        assert abs(complex(row["value"]["re"], row["value"]["im"]) - want) < 1e-11
+
+    def test_huge_grid_count_refused(self, capsys):
+        # refused before numpy is asked for a 1e12-point grid
+        code, out, err = run(capsys, [
+            "eval-hilbert", "--variant", "one-sided", "--function", "exp_decay:a=1",
+            "--omega=1:2:1000000000000"])
+        assert (code, out) == (2, "")
+        assert str(cli.MAX_GRID_POINTS) in err and "Traceback" not in err
 
     def test_kernel_outside_domain(self, capsys):
         code, out, err = run(capsys, [

@@ -60,11 +60,34 @@ class TestOneSided:
         with pytest.raises(ConvergenceDomain):
             hb.one_sided(f, 0.0, 0.999, math.inf)
 
-    def test_omega_power_overflow_refused(self):
-        # inside the 0.99 rho0 margin (rho0 = pi) the series needs ~1000 terms
-        # and omega^k leaves binary64 near k = 640: a typed refusal
-        with pytest.raises(ConvergenceDomain, match="overflows"):
-            hb.one_sided(fm.builtin("fermi", a=1.0), 0.0, 0.97 * math.pi)
+    def test_edge_point_answers(self):
+        # at 0.97 rho0 (rho0 = pi) the plain sum would need ~1000 terms, and
+        # omega^k leaves binary64 near k = 640; the epsilon exit stops at ~32
+        f, w = fm.builtin("fermi", a=1.0), 0.97 * math.pi
+        rep = hb.one_sided(f, 0.0, w)
+        assert rep.terms_used < 60
+        assert abs(rep.value - pv.pv_transform("one_sided", f, 0.0, w, math.inf)) < 1e-11
+
+    def test_overstated_rho0_refused(self):
+        # fermi declared at three times its radius: at 1.5 pi the series
+        # diverges and the term-ratio rule refuses it
+        f = fm.builtin("fermi", a=1.0)
+        wide = fm.AnalyticFunction("fermi", f.evaluate, f.maclaurin, 3.0 * math.pi,
+                                   tail=f.tail, tail_neg=f.tail_neg, fp_hook=f.fp_hook)
+        with pytest.raises(ConvergenceDomain, match="ratio"):
+            hb.one_sided(wide, 0.0, 1.5 * math.pi)
+
+
+@pytest.mark.parametrize("variant,name,kw,nu,share", [
+    ("one_sided", "fermi", {"a": 1.0}, nu, share)
+    for nu in (0.0, 0.5) for share in (0.95, 0.99)] + [
+    ("sym_x", "sqrt_inv_quad", {"a": 1.4}, 0.0, share) for share in (0.98, 0.99)])
+def test_near_radius_against_pv(variant, name, kw, nu, share):
+    # up to the 0.99 rho0 margin, where the terms fall like share^k
+    f = fm.builtin(name, **kw)
+    w = share * f.rho0
+    got = hb.evaluate_transform(hb.TransformSpec(variant, w, nu), f).value
+    assert rel(got, pv.pv_transform(variant, f, nu, w, math.inf)) <= 1e-12
 
 
 class TestFullLine:
@@ -175,10 +198,13 @@ class TestFullLineNu:
 
 
 class TestSymKernels:
-    def test_omega_power_overflow_refused(self):
-        # omega = 0.99 a (rho0 = a): omega^k overflows before the sum converges
-        with pytest.raises(ConvergenceDomain, match="overflows"):
-            hb.sym_x(fm.builtin("sqrt_inv_quad", a=1.4), 0.0, 0.99 * 1.4)
+    def test_edge_point_answers(self):
+        # omega = 0.99 a (rho0 = a): the plain sum overflowed omega^k at
+        # k = 1088; the epsilon exit stops at ~45 terms
+        f, w = fm.builtin("sqrt_inv_quad", a=1.4), 0.99 * 1.4
+        rep = hb.sym_x(f, 0.0, w)
+        assert rep.terms_used < 90
+        assert abs(rep.value - pv.pv_transform("sym_x", f, 0.0, w, math.inf)) < 1e-11
 
     def test_even_singular_vanishes_exactly(self):
         f = fm.builtin("gaussian", a=1.0)

@@ -64,3 +64,44 @@ def test_nan_term_raises_at_once():
     with pytest.raises(NoConvergence, match="k = 3"):
         sum_series(term, 1e-12, 1000)
     assert len(calls) <= 4
+
+
+# -- the Wynn epsilon exit ----------------------------------------------------
+
+@pytest.mark.parametrize("r,tol", [(0.99, 1e-13), (-0.99, 1e-13), (-0.999, 1e-13),
+                                   # extrapolating partial sums near 1 to 1000
+                                   # costs about three digits to rounding
+                                   (0.999, 1e-12)])
+def test_wynn_geometric_near_radius(r, tol):
+    # the plain rule needs thousands of terms here; epsilon is exact on a
+    # geometric series from its second column on
+    total, used, tail, _ = sum_series(lambda k: r ** k, 1e-12, 10_000, wynn=True)
+    assert abs(total - 1.0 / (1.0 - r)) <= tol / (1.0 - r)
+    assert used <= 40
+    assert tail <= 1e-12 * abs(total)
+
+
+def test_wynn_two_geometric_series():
+    want = 1.0 / (1.0 - 0.97) + 2.0 / (1.0 + 0.8)
+    total, used, _, _ = sum_series(lambda k: 0.97 ** k + 2.0 * (-0.8) ** k,
+                                   1e-13, 10_000, wynn=True)
+    assert abs(total - want) <= 1e-12 * want
+    assert used <= 40
+
+
+@pytest.mark.parametrize("term,want", [
+    (lambda k: 4.0 ** k / math.factorial(2 * k), math.cosh(2.0)),
+    (lambda k: 10.0 ** -(k * k), 1.1001000010000001)])
+def test_wynn_leaves_a_plain_stop_bit_identical(term, want):
+    # terms that fall this fast meet the small-term rule no later than the
+    # epsilon estimates agree, and that rule is tested first
+    plain = sum_series(term, 1e-12, 1000)
+    assert sum_series(term, 1e-12, 1000, wynn=True) == plain
+    assert abs(plain[0] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_wynn_non_finite_term_raises(bad):
+    with pytest.raises(NoConvergence, match="k = 5"):
+        sum_series(lambda k: bad if k == 5 else 0.99 ** k / (k + 1), 1e-12, 1000,
+                   wynn=True)
