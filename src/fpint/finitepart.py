@@ -20,7 +20,7 @@ from . import dtable
 from .errors import (DomainError, FitIllConditioned, NoConvergence,
                      TailNotIntegrable)
 from .funcmodel import AnalyticFunction, TailDecay
-from .precision import PrecisionConfig, default_precision, sum_series
+from .precision import PrecisionConfig, default_precision, normed_design, sum_series
 from .pvoracle import QuadratureBudget, adaptive_quad, tail_integral
 
 NU_SNAP = 1e-6
@@ -301,23 +301,13 @@ def fp_epsilon_oracle(f_eval, kernel: FpKernel,
 
     weights = 1.0 / np.maximum(np.abs(vals), 1e-30)
 
-    def scaled_design(power_list: list[float]) -> np.ndarray:
-        cols = [np.ones_like(eps)]
-        cols += [eps ** (-q) for q in power_list]
-        if nu == 0.0:
-            cols.append(np.log(eps))
-        dw = np.column_stack(cols) * weights[:, None]
-        norms = np.linalg.norm(dw, axis=0)
-        norms[norms == 0.0] = 1.0
-        return dw / norms, norms
-
     # the divergent-only model matrix carries the hard condition cap
-    dn_spec, _ = scaled_design([q for q in powers if q > 0])
+    dn_spec, _ = normed_design(eps, [q for q in powers if q > 0], weights, nu == 0.0)
     cond_spec = np.linalg.cond(dn_spec)
     if cond_spec > CONDITION_CAP:
         raise FitIllConditioned(
             f"divergent-model design condition {cond_spec:.3g} exceeds {CONDITION_CAP:g}")
-    dn, scale = scaled_design(powers)
+    dn, scale = normed_design(eps, powers, weights, nu == 0.0)
     cond = np.linalg.cond(dn)
     if cond > EXTENDED_CONDITION_CAP:
         raise FitIllConditioned(

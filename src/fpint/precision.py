@@ -1,4 +1,6 @@
-"""Precision configuration shared by every series and quadrature routine."""
+"""Precision configuration, the one series loop (sum_series) and the one
+extrapolation layer (Wynn's epsilon: wynn_push, wynn_limit; known exponents:
+normed_design), shared by the omega-series, tails and epsilon oracle."""
 
 from __future__ import annotations
 
@@ -7,6 +9,8 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConvergenceDomain, NoConvergence
 
@@ -63,23 +67,53 @@ def default_precision() -> PrecisionConfig:
     return PrecisionConfig()
 
 
-def _wynn_push(diag: list[complex], s: complex) -> list[complex]:
+def wynn_push(diag: list[complex], s: complex, depth: int = WYNN_DEPTH) -> list[complex]:
     """The next ascending diagonal of Wynn's epsilon table, given the last one
     and the new partial sum s: eps_0 = s, then the cross rule
 
         eps_(j+1) = diag[j - 1] + 1 / (eps_j - diag[j])   (diag[-1] = 0)
 
-    up to column WYNN_DEPTH.  A column that has stopped moving,
+    up to column depth.  A column that has stopped moving,
     |eps_j - diag[j]| <= 1e-14 |eps_j|, ends the diagonal there: a guard
     relative to the column's value, since an absolute one lets 1/diff blow up.
     """
-    new = [s]
-    for j in range(min(len(diag), WYNN_DEPTH)):
-        diff = new[j] - diag[j]
-        if abs(diff) <= 1e-14 * abs(new[j]):
+    new, left = [s], 0.0
+    for d in diag[:depth]:
+        diff = new[-1] - d
+        if abs(diff) <= 1e-14 * abs(new[-1]):
             break
-        new.append((diag[j - 1] if j else 0.0) + 1.0 / diff)
+        new.append(left + 1.0 / diff)
+        left = d
     return new
+
+
+def wynn_limit(sums: list[complex]) -> complex:
+    """Shanks' estimate of the limit of sums: the top even column of the last
+    diagonal of their whole epsilon table (wynn_push at depth len(sums)).  A
+    table that stops moving is read at its first stalled entry in the lowest
+    column that stalls."""
+    diag, stall = [], None
+    for s in sums:
+        new = wynn_push(diag, complex(s), len(sums))
+        if len(new) <= len(diag) and (stall is None or len(new) < len(stall)):
+            stall = new
+        diag = new
+    return stall[-1] if stall is not None else diag[(len(diag) - 1) & ~1]
+
+
+def normed_design(x: np.ndarray, powers: list[float], weights=None, log=False):
+    """Least-squares design of a limit with known exponents: columns 1, x^-p
+    for p in powers and ln x if log, rows times weights, each column over its
+    norm.  Returns (design, norms).  A column that underflows to 0 on x
+    carries no information and keeps norm 1."""
+    cols = [np.ones_like(x)] + [x ** (-p) for p in powers]
+    cols += [np.log(x)] if log else []
+    design = np.column_stack(cols)
+    if weights is not None:
+        design = design * weights[:, None]
+    norms = np.linalg.norm(design, axis=0)
+    norms[norms == 0.0] = 1.0
+    return design / norms, norms
 
 
 def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
@@ -95,7 +129,7 @@ def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
     ConvergenceDomain: the series sits on its convergence boundary.
 
     With wynn set, each partial sum also enters Wynn's epsilon table (at most
-    WYNN_DEPTH columns; _wynn_push), whose top even column is the estimate
+    WYNN_DEPTH columns; wynn_push), whose top even column is the estimate
     of the sum.  Once CONSECUTIVE_SMALL_TERMS successive differences of the
     estimate are small in the sense above, at index first_stop or later, the
     estimate is returned.  For a series that falls only geometrically, like
@@ -142,7 +176,7 @@ def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
                         "omega too close to min(a, rho0)")
             prev_mag = mag
         if wynn:
-            diag = _wynn_push(diag, total)
+            diag = wynn_push(diag, total)
             prev_est, est = est, diag[(len(diag) - 1) & ~1]
             if prev_est is not None:
                 step = abs(est - prev_est)

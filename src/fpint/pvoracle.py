@@ -6,8 +6,8 @@ removed by the substitution x = u^(1/(1-nu)).  An infinite tail is handled
 by the integrand's own declared decay: a fast tail is cut where probes of the
 integrand fall below the target, an algebraic one is summed over geometric
 panels, and an oscillatory one over half-period panels between phase
-crossings, with Wynn-epsilon and a power-ladder fit accelerating the partial
-sums (conditionally convergent e^{iax}- and Airy-type tails need this).  The
+crossings, with Wynn-epsilon and a power-ladder fit (precision's wynn_limit
+and normed_design) accelerating the partial sums (e^{iax}/Airy tails).  The
 fit's exponents are the lattice the phase implies: integer steps for a
 linear phase, half steps for the Airy phase x^{3/2}.  The panels between two
 estimator checks are evaluated in one integrand call.
@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureFailure, TailBoundUnmet, TailNotIntegrable
 from .funcmodel import TAIL_ALG, TAIL_EXP, AnalyticFunction, TailDecay
+from .precision import normed_design, wynn_limit
 
 _GL_LO = np.polynomial.legendre.leggauss(21)
 _GL_HI = np.polynomial.legendre.leggauss(43)
@@ -126,28 +127,6 @@ def quad_power_endpoint(f, a: float, b: float, nu: float,
 # Infinite tails
 # ---------------------------------------------------------------------------
 
-def _wynn_epsilon(sums: list[complex]) -> complex:
-    """Shanks acceleration of a partial-sum sequence (Wynn epsilon table)."""
-    n = len(sums)
-    if n == 1:
-        return sums[0]
-    e_prev = [0.0 + 0.0j] * (n + 1)
-    e_curr = [complex(v) for v in sums]
-    best = e_curr[-1]
-    for _ in range(n - 1):
-        e_next = []
-        for j in range(len(e_curr) - 1):
-            diff = e_curr[j + 1] - e_curr[j]
-            if abs(diff) <= 1e-14 * abs(e_curr[j + 1]):
-                return e_curr[j + 1]
-            e_next.append(e_prev[j + 1] + 1.0 / diff)
-        e_prev = e_curr
-        e_curr = e_next
-        if len(e_curr) >= 1 and (len(sums) - len(e_curr)) % 2 == 0:
-            best = e_curr[-1]
-    return best
-
-
 def _fixed_panels(f, edges: list[float]) -> list[complex]:
     """43-point Gauss-Legendre value of each panel [edges[k], edges[k+1]].
 
@@ -177,12 +156,8 @@ def _power_ladder_fit(xs: np.ndarray, sums: np.ndarray, gamma: float,
     step 0.5 (_ladder_step).  Columns off the lattice spend the fit's six
     terms on powers that are not there: with half steps on a linear phase
     the J0^2 tails converge only algebraically."""
-    cols = [np.ones_like(xs)] + [xs ** (-(gamma + step * i)) for i in range(6)]
-    design = np.column_stack(cols)
-    norms = np.linalg.norm(design, axis=0)
-    # columns whose powers underflow to 0 on these abscissae carry no information
-    norms[norms == 0.0] = 1.0
-    coef, *_ = np.linalg.lstsq(design / norms, sums, rcond=None)
+    design, norms = normed_design(xs, [gamma + step * i for i in range(6)])
+    coef, *_ = np.linalg.lstsq(design, sums, rcond=None)
     return complex((coef / norms)[0])
 
 
@@ -210,7 +185,7 @@ def _tail_vote(sums: list[complex], rights: list[float], gamma: float, step: flo
     n = len(paired)
     fit = _power_ladder_fit(xs[n // 2:], paired[n // 2:], gamma, step)
     fit_b = _power_ladder_fit(xs[n // 4:], paired[n // 4:], gamma, step)
-    wynn = _wynn_epsilon(sums[-17:])
+    wynn = wynn_limit(sums[-17:])
     wynn_prev, fit_prev = prev or (None, None)
     err_fit = abs(fit - fit_b) + (abs(fit - fit_prev) if fit_prev is not None
                                   else math.inf)

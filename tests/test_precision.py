@@ -1,9 +1,11 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from fpint.errors import ConvergenceDomain, NoConvergence
-from fpint.precision import sum_series
+from fpint.precision import normed_design, sum_series, wynn_limit, wynn_push
 
 
 def test_geometric_series():
@@ -105,3 +107,115 @@ def test_wynn_non_finite_term_raises(bad):
     with pytest.raises(NoConvergence, match="k = 5"):
         sum_series(lambda k: bad if k == 5 else 0.99 ** k / (k + 1), 1e-12, 1000,
                    wynn=True)
+
+
+# -- the extrapolation layer: references are the two epsilon routines and the
+# column-normed design it replaced, copied verbatim ---------------------------
+
+def _reference_push(diag, s):
+    new = [s]
+    for j in range(min(len(diag), 6)):
+        diff = new[j] - diag[j]
+        if abs(diff) <= 1e-14 * abs(new[j]):
+            break
+        new.append((diag[j - 1] if j else 0.0) + 1.0 / diff)
+    return new
+
+
+def _reference_epsilon(sums):
+    n = len(sums)
+    if n == 1:
+        return sums[0]
+    e_prev = [0.0 + 0.0j] * (n + 1)
+    e_curr = [complex(v) for v in sums]
+    best = e_curr[-1]
+    for _ in range(n - 1):
+        e_next = []
+        for j in range(len(e_curr) - 1):
+            diff = e_curr[j + 1] - e_curr[j]
+            if abs(diff) <= 1e-14 * abs(e_curr[j + 1]):
+                return e_curr[j + 1]
+            e_next.append(e_prev[j + 1] + 1.0 / diff)
+        e_prev = e_curr
+        e_curr = e_next
+        if len(e_curr) >= 1 and (len(sums) - len(e_curr)) % 2 == 0:
+            best = e_curr[-1]
+    return best
+
+
+def _bits(z):
+    z = complex(z)
+    return (z.real.hex(), z.imag.hex())
+
+
+def _random_sums(rng, n):
+    # partial sums of one to three geometric series, with or without noise;
+    # one noiseless series stalls column 2, a repeated sum stalls column 0
+    rs = [rng.uniform(-0.98, 0.98) for _ in range(rng.randint(1, 3))]
+    cs = [complex(rng.gauss(0, 1), rng.gauss(0, 1) * rng.randint(0, 1)) for _ in rs]
+    noise = rng.choice([0.0, 1e-9])
+    sums, total = [], 0j
+    for k in range(n):
+        total += sum(c * r ** k for c, r in zip(cs, rs)) + rng.gauss(0, noise)
+        sums.append(total)
+    if n > 1 and rng.random() < 0.2:
+        i = rng.randrange(1, n)
+        sums[i] = sums[i - 1]
+    return sums
+
+
+def test_wynn_push_matches_reference_bit_for_bit():
+    rng = random.Random(7)
+    for _ in range(300):
+        diag_new, diag_ref = [], []
+        for s in _random_sums(rng, 30):
+            diag_new, diag_ref = wynn_push(diag_new, s), _reference_push(diag_ref, s)
+            assert [_bits(v) for v in diag_new] == [_bits(v) for v in diag_ref]
+
+
+def _geometric_sums(n, r=0.5):
+    return [complex(sum(r ** k for k in range(m + 1))) for m in range(n)]
+
+
+@pytest.mark.parametrize("sums", [
+    # no stall: an alternating series that falls like 1/k
+    [complex(sum((-1) ** k / (k + 1) for k in range(m + 1))) for m in range(17)],
+    # a geometric series is exact in column 2, which then stalls
+    _geometric_sums(17),
+    # a repeated sum stalls column 0, late; column 2 stalls first
+    _geometric_sums(16) + _geometric_sums(16)[-1:],
+    [1.0 + 0j],
+], ids=["no-stall", "column-2", "column-0", "one-sum"])
+def test_wynn_limit_matches_reference_bit_for_bit(sums):
+    assert _bits(wynn_limit(sums)) == _bits(_reference_epsilon(sums))
+
+
+def test_wynn_limit_matches_reference_on_random_sequences():
+    rng = random.Random(11)
+    for _ in range(300):
+        sums = _random_sums(rng, rng.randint(1, 24))
+        assert _bits(wynn_limit(sums)) == _bits(_reference_epsilon(sums))
+
+
+def test_wynn_limit_reads_the_lowest_stalled_column():
+    # column 2 stalls at the fourth sum, column 0 only at the last: the
+    # table is read at column 0, as the whole table is
+    sums = _geometric_sums(16) + _geometric_sums(16)[-1:]
+    assert wynn_limit(sums) == sums[-1]
+    assert wynn_limit(sums[:-1]) != sums[-1]
+
+
+def test_normed_design_keeps_an_underflowing_column_at_norm_one():
+    x = np.array([1e200, 2e200, 4e200])
+    design, norms = normed_design(x, [1.0, 2.0])
+    assert norms[2] == 1.0 and not design[:, 2].any()
+    assert norms[0] == math.sqrt(3.0)
+    assert np.all(np.isfinite(design))
+
+
+def test_normed_design_weights_and_log_column():
+    x = np.array([0.5, 0.25, 0.125])
+    w = np.array([1.0, 2.0, 4.0])
+    design, norms = normed_design(x, [1.0], w, log=True)
+    raw = np.column_stack([np.ones(3), 1.0 / x, np.log(x)]) * w[:, None]
+    assert np.array_equal(design * norms, raw)
