@@ -126,12 +126,10 @@ def _fp_split(f: AnalyticFunction, kernel: FpKernel, precision: PrecisionConfig 
     """Finite part over [0, a]: Maclaurin extraction on [0, s] plus the
     ordinary integral of the (there regular) integrand over [s, a].
 
-    s is split_radius(f, k); at most 1 when a = inf and k <= 14 (steeper
-    kernels keep split_radius, whose push toward rho0 bounds the
-    cancellation); for entire f at least 1.25 min(scale_hint, a), since the
-    pieces cancel like (omega/s)^k and the series must reach past the
-    caller's omega scale; and at most a, where the series alone is the value
-    (route "series").  Beyond s (route "split_tail"): adaptive_quad up to a
+    s is split_radius(f, k); for entire f at least 1.25 min(scale_hint, a),
+    since the pieces cancel like (omega/s)^k and the series must reach past
+    the caller's omega scale; and at most a, where the series alone is the
+    value (route "series").  Beyond s (route "split_tail"): adaptive_quad up to a
     finite a, else tail_integral aimed at the tail's own scale.  A non-finite
     value, from a pole of f on the range, raises DomainError.
     """
@@ -140,9 +138,7 @@ def _fp_split(f: AnalyticFunction, kernel: FpKernel, precision: PrecisionConfig 
         raise TailNotIntegrable(
             f"{f.name}: declared tail ({f.tail.kind}) does not admit x^-{e:g} at infinity")
     s = split_radius(f, k)
-    if math.isfinite(f.rho0):
-        s = min(s, 1.0) if a == math.inf and k <= 14 else s
-    elif scale_hint is not None:
+    if not math.isfinite(f.rho0) and scale_hint is not None:
         s = max(s, 1.25 * min(scale_hint, a))
     s = min(s, a)
     value, terms, tail, peak_term = _series_on(f, s, k, nu,

@@ -99,6 +99,15 @@ class TestInfinite:
         assert got.route == "split_tail"
         assert rel(got.value, f.fp_hook(k, 0.0, math.inf)) < 1e-9
 
+    @pytest.mark.parametrize("a,nu", [(0.708, 0.76), (1.0, 0.0)])
+    def test_fermi_generic_matches_hook_at_every_k(self, a, nu):
+        # finite rho0 keeps split_radius at every k; a split capped at 1 for
+        # k <= 14 left 1.1e-6 at k = 14, a = 0.708
+        f = fm.builtin("fermi", a=a)
+        for k in range(1, 30):
+            got = fp.resolve_fp(f, k, nu, math.inf, use_hook=False).value
+            assert rel(got, f.fp_hook(k, nu, math.inf)) < 1e-10, k
+
     def test_tail_not_integrable(self):
         f = fm.builtin("const")
         with pytest.raises(fp.TailNotIntegrable):
