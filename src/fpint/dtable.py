@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Mapping
 
 from . import specfun as sf
-from .errors import DomainError, UnknownItem
+from .errors import DomainError, FpintError, NoConvergence, UnknownItem
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
@@ -438,9 +438,8 @@ def _gaussian(a: float, shift: int, k: int, nu: float) -> float:
     # s = k - shift + nu; positive odd integer s is the logarithmic case
     s = k - shift + nu
     if nu == 0.0 and int(round(s)) % 2 == 1 and s >= 1:
-        mm = (int(round(s)) + 1) // 2
-        mag = math.exp((mm - 1) * math.log(a) - math.lgamma(float(mm)))
-        return 0.5 * (-1.0) ** (mm - 1) * mag * (_psi(float(mm)) - math.log(a))
+        # x = sqrt(t) makes it half the exp_decay log case at k = (s + 1)/2
+        return 0.5 * _exp_decay_log(a, (int(round(s)) + 1) // 2, 0.0)
     ln_neg, sign = sf.lgamma_sign(0.5 * (1.0 - s))
     return 0.5 * sign * math.exp(0.5 * (s - 1.0) * math.log(a) + ln_neg)
 
@@ -469,7 +468,8 @@ def fp_hook(name: str, params: Mapping[str, float]):
     first row of f whose lattice holds the kernel, else from f's _EXTRA
     closed form.  It returns None for a finite upper limit, for a kernel
     outside k + nu > 0 (where FpKernel refuses) and where no closed form
-    applies; callers then take the generic series + tail route.
+    applies; callers then take the generic series + tail route.  A closed
+    form that binary64 cannot evaluate raises NoConvergence.
     """
     if name == "inv_linear":             # 1/(c+x) is (s+x)^-mu at s = c, mu = 1
         name, params = "inv_power_shift", {"s": params["c"], "mu": 1.0}
@@ -485,14 +485,20 @@ def fp_hook(name: str, params: Mapping[str, float]):
     def hook(k: int, nu: float, upper: float) -> complex | None:
         if upper != math.inf:
             return None
-        if nu == 0.0:
-            for call, step, offset, lo, hi, indexed in log_rows:
-                if lo <= k <= hi and (k - offset) % step == 0:
-                    return call((k - offset) // step) if indexed else call()
-        else:
-            for call, step, offset, lo, hi, power in nu_rows:
-                if lo <= k <= hi and (k - offset) % step == 0:
-                    return call(k + nu) if power else call((k - offset) // step, nu)
-        # no row holds a kernel below k = 1, so only the extras need the check
-        return None if extra is None or k + nu <= 0.0 else extra(k, nu)
+        try:
+            if nu == 0.0:
+                for call, step, offset, lo, hi, indexed in log_rows:
+                    if lo <= k <= hi and (k - offset) % step == 0:
+                        return call((k - offset) // step) if indexed else call()
+            else:
+                for call, step, offset, lo, hi, power in nu_rows:
+                    if lo <= k <= hi and (k - offset) % step == 0:
+                        return call(k + nu) if power else call((k - offset) // step, nu)
+            # no row holds a kernel below k = 1, so only the extras need the check
+            return None if extra is None or k + nu <= 0.0 else extra(k, nu)
+        except FpintError:
+            raise
+        except (ArithmeticError, ValueError) as exc:     # e.g. the log of an underflow
+            raise NoConvergence(f"{name}: closed-form finite part at k = {k}, "
+                                f"nu = {nu:g} is outside the float range") from exc
     return hook

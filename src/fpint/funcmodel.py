@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dtable
-from .errors import AllZeroError, ConsistencyError, DomainError, UnknownBuiltin
+from .errors import (AllZeroError, ConsistencyError, DomainError, NoConvergence,
+                     UnknownBuiltin)
 
 # Tail-decay kinds
 TAIL_EXP = "exponential"        # falls faster than any power
@@ -100,12 +101,20 @@ class AnalyticFunction:
     # -- coefficients -------------------------------------------------------
 
     def maclaurin(self, n: int) -> complex:
+        """The n-th Maclaurin coefficient; NoConvergence past the float range
+        (the cache then holds the coefficients below it)."""
         cache = self._cache
         if n < len(cache):
             return cache[n]
         with self._lock:
             while len(self._cache) <= n:
-                self._cache.append(complex(self._coeff_fn(len(self._cache))))
+                j = len(self._cache)
+                try:
+                    c = complex(self._coeff_fn(j))
+                except (OverflowError, ZeroDivisionError) as exc:
+                    raise NoConvergence(f"{self.name}: Maclaurin coefficient {j} is "
+                                        "outside the float range") from exc
+                self._cache.append(c)
         return self._cache[n]
 
     def coefficients(self, count: int) -> np.ndarray:
@@ -219,6 +228,7 @@ def factor_zero(f: AnalyticFunction):
     if m == 0:
         return 0, f
     parent = f
+    real = not np.iscomplexobj(parent._eval(np.array([0.5])))
 
     def ev(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -230,9 +240,7 @@ def factor_zero(f: AnalyticFunction):
         if small.any():
             coeffs = parent.coefficients(m + 25)[m:]
             out[small] = np.polyval(coeffs[::-1], x[small])
-        if not np.iscomplexobj(parent._eval(np.array([0.5]))):
-            return out.real
-        return out
+        return out.real if real else out
 
     if f.parity == "even":
         g_parity = "even" if m % 2 == 0 else "odd"
@@ -649,7 +657,10 @@ def builtin(name: str, **params) -> AnalyticFunction:
                  if isinstance(merged[a], float) and not math.isfinite(merged[a])]
     if nonfinite:
         raise DomainError(f"{name}: parameters {nonfinite} must be finite")
-    spec = factory(**{k: merged[k] for k in arg_names})
+    try:
+        spec = factory(**{k: merged[k] for k in arg_names})
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{name}: parameters {merged} leave the float range") from exc
     label = name if not merged else \
         name + ":" + ",".join(f"{k}={merged[k]:g}" for k in arg_names)
     out = AnalyticFunction(label, spec["eval_fn"], spec["coeff_fn"], spec["rho0"],

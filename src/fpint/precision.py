@@ -32,7 +32,7 @@ WYNN_DEPTH = 6
 class PrecisionConfig:
     """Tolerances for series summation.
 
-    rel_tol     -- relative tolerance for truncation decisions (> 0)
+    rel_tol     -- relative tolerance for truncation decisions, in (0, 1)
     max_terms   -- hard cap on summed terms (>= 32)
 
     Everything is computed in binary64.
@@ -42,8 +42,8 @@ class PrecisionConfig:
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < 1.0:     # also refuses nan and inf
+            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.max_terms < 32:
             raise ValueError("max_terms must be at least 32")
 

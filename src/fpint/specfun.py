@@ -579,7 +579,8 @@ def _airy_asym_neg(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     4e-10 for Ai' at t = 6.001, and below 1e-14 past t = 8.
     """
     zeta = (2.0 / 3.0) * t ** 1.5
-    inv2 = 1.0 / (zeta * zeta)
+    with np.errstate(over="ignore"):     # zeta^2 overflows past t ~ 1e103: inv2 = 0
+        inv2 = 1.0 / (zeta * zeta)
     ce, se = np.zeros_like(t), np.zeros_like(t)
     cpe, spe = np.zeros_like(t), np.zeros_like(t)
     p = np.ones_like(t)

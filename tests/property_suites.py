@@ -5,6 +5,7 @@ Each suite returns (cases_run, failures); failures carry a short description.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from fpint import finitepart as fp
 from fpint import funcmodel as fm
 from fpint import hilbert as hb
+from fpint.errors import FpintError
 from fpint.pvoracle import regular_integral
 
 REAL_VARIANTS = ("one_sided", "full_line", "full_line_sgn", "full_line_abs",
@@ -144,9 +146,56 @@ def suite_report_identity(seed: int, n_cases: int = 40):
     return n_cases, failures
 
 
+# builtins and the parameters drawn at the edges of the float range
+EXTREME_FAMILIES = {"exp_decay": ("a",), "gaussian": ("a",), "sin": ("a",),
+                    "exp_osc": ("a",), "airy": ("a",), "airy_neg": ("a",),
+                    "airy_prod": ("a",), "j0_squared": ("a",), "fermi": ("a",),
+                    "sqrt_inv_quad": ("a",), "inv_cubic": ("c",),
+                    "exp_decay_shift": ("a", "c"), "rational_quartic": ("omega_j",)}
+
+# (builtin, parameters, k, nu): each once leaked OverflowError or
+# ZeroDivisionError from a closed form, a coefficient or the builtin itself
+EXTREME_PROBES = [("exp_decay", {"a": 1e300}, 3, 0.0), ("gaussian", {"a": 1e300}, 5, 0.0),
+                  ("sin", {"a": 1e300}, 1, 0.0), ("airy", {"a": 1e300}, 1, 0.0),
+                  ("airy", {"a": 1e-300}, 1, 0.0),
+                  ("rational_quartic", {"beta": 0.5, "omega_j": 1e-300}, 2, 0.0)]
+
+
+def suite_extreme_parameters(seed: int, n_cases: int = 40):
+    """Builtins at extreme parameters: builtin(), resolve_fp and a one-sided
+    or sym_x transform at omega = 0.5 each give a finite value or raise an
+    FpintError."""
+    rng = np.random.RandomState(seed)
+    cases = list(EXTREME_PROBES)
+    names = sorted(EXTREME_FAMILIES)
+    while len(cases) < n_cases:
+        name = names[rng.randint(len(names))]
+        params = {p: float(10.0 ** (rng.choice([-1, 1]) * rng.uniform(100.0, 308.0)))
+                  for p in EXTREME_FAMILIES[name]}
+        if name == "rational_quartic":
+            params["beta"] = float(rng.uniform(-0.9, 0.9))
+        nu = float(rng.choice([0.0, rng.uniform(0.15, 0.85)]))
+        cases.append((name, params, int(rng.randint(1, 8)), nu))
+    failures = []
+    for i, (name, params, k, nu) in enumerate(cases):
+        spec = hb.TransformSpec(("one_sided", "sym_x")[i % 2], 0.5, nu, math.inf)
+        try:
+            f = fm.builtin(name, **params)
+            values = [fp.resolve_fp(f, k, nu, math.inf).value,
+                      hb.evaluate_transform(spec, f).value]
+        except FpintError:
+            continue
+        except Exception as exc:
+            failures.append(f"extreme {name} {params} k={k}: {type(exc).__name__}: {exc}")
+            continue
+        if not all(cmath.isfinite(v) for v in values):
+            failures.append(f"extreme {name} {params} k={k}: {values}")
+    return len(cases), failures
+
+
 ALL_SUITES = (suite_linearity, suite_parity_reduction,
               suite_convergent_degeneration, suite_real_in_real_out,
-              suite_report_identity)
+              suite_report_identity, suite_extreme_parameters)
 
 
 def run_all(seed: int = 1234):

@@ -205,6 +205,25 @@ class TestExitCodes:
         assert (got, out) == (code, "")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("function,code", [
+        ("exp_decay:a=1e300", 3), ("sin:a=1e300", 3), ("airy:a=1e300", 2),
+        ("rational_quartic:beta=0.5,omega_j=1e-300", 2)])
+    def test_float_range_refused(self, capsys, function, code):
+        # a closed form or coefficient past binary64 is a numerical failure;
+        # a builtin that cannot be built is a schema error
+        got, out, err = run(capsys, ["eval-hilbert", "--variant", "one-sided",
+                                     "--function", function, "--omega", "0.5"])
+        assert (got, out) == (code, "")
+        assert "Traceback" not in err and "float range" in err
+
+    @pytest.mark.parametrize("rel_tol", ["inf", "2", "nan", "0"])
+    def test_rel_tol_outside_unit_interval_refused(self, capsys, rel_tol):
+        got, out, err = run(capsys, ["eval-hilbert", "--variant", "one-sided",
+                                     "--function", "exp_decay:a=1", "--omega", "0.5",
+                                     "--rel-tol", rel_tol])
+        assert (got, out) == (2, "")
+        assert "rel_tol must be in (0, 1)" in err
+
     def test_edge_point_answers(self, capsys):
         # fermi a=1 at omega = 3.05 < 0.99 pi, where omega^k overflowed the
         # plain sum: the epsilon exit answers

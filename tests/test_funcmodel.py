@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fpint import funcmodel as fm
-from fpint.errors import AllZeroError, ConsistencyError, DomainError, UnknownBuiltin
+from fpint.errors import (AllZeroError, ConsistencyError, DomainError, NoConvergence,
+                          UnknownBuiltin)
 
 ALL_BUILTINS = [
     ("const", {}),
@@ -92,7 +93,39 @@ def test_bad_params():
         fm.builtin("exp_decay", a=1.0, bogus=2.0)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("airy", dict(a=1e300)), ("rational_quartic", dict(beta=0.5, omega_j=1e-300))])
+def test_params_past_float_range_refused(name, params):
+    with pytest.raises(DomainError, match="float range"):
+        fm.builtin(name, **params)
+
+
+def test_maclaurin_past_float_range_keeps_its_cache():
+    f = fm.builtin("sin", a=1e300)
+    with pytest.raises(NoConvergence, match="coefficient 3"):
+        f.maclaurin(6)
+    assert f.coefficients(3).tolist() == [0.0, 1e300, 0.0]
+    with pytest.raises(NoConvergence, match="coefficient 3"):
+        f.maclaurin(3)
+
+
+@pytest.mark.parametrize("name,k", [("exp_decay", 3), ("gaussian", 5), ("airy", 1)])
+def test_hook_past_float_range_refuses(name, k):
+    # exp_decay and gaussian overflow; Airy's a^3 underflows into a log
+    f = fm.builtin(name, a=1e-300 if name == "airy" else 1e300)
+    with pytest.raises(NoConvergence, match="float range"):
+        f.fp_hook(k, 0.0, math.inf)
+
+
 class TestFactorZero:
+    def test_real_and_complex_output_kept(self):
+        _, g = fm.factor_zero(fm.builtin("sin", a=1.0))
+        _, h = fm.factor_zero(fm.linear_combination(1j, fm.builtin("sin", a=1.0),
+                                                    0.0, fm.builtin("sin", a=2.0)))
+        x = np.array([0.0, 1e-6, 0.7])
+        assert g.evaluate(x).dtype == float and h.evaluate(x).dtype == complex
+        assert np.array_equal(h.evaluate(x), 1j * g.evaluate(x))
+
     def test_quadratic_exp(self):
         f = fm.builtin("power_gaussian", m=2, a=1.0)
         m, g = fm.factor_zero(f)

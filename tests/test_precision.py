@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 
 from fpint.errors import ConvergenceDomain, NoConvergence
-from fpint.precision import normed_design, sum_series, wynn_limit, wynn_push
+from fpint.precision import (PrecisionConfig, default_precision, normed_design, sum_series,
+                             wynn_limit, wynn_push)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-12, 1.0, 2.0, math.inf, math.nan])
+def test_rel_tol_outside_unit_interval_refused(rel_tol, monkeypatch):
+    # a tolerance of 1 or more stops every series after its first terms
+    with pytest.raises(ValueError, match="rel_tol"):
+        PrecisionConfig(rel_tol=rel_tol)
+    monkeypatch.setenv("FPINT_PRECISION", repr(rel_tol))
+    with pytest.raises(ValueError, match="rel_tol"):
+        default_precision()
 
 
 def test_geometric_series():
