@@ -496,9 +496,9 @@ def fp_hook(name: str, params: Mapping[str, float]):
                         return call(k + nu) if power else call((k - offset) // step, nu)
             # no row holds a kernel below k = 1, so only the extras need the check
             return None if extra is None or k + nu <= 0.0 else extra(k, nu)
-        except FpintError:
+        except FpintError:                   # a DomainError is also a ValueError
             raise
-        except (ArithmeticError, ValueError) as exc:     # e.g. the log of an underflow
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
             raise NoConvergence(f"{name}: closed-form finite part at k = {k}, "
                                 f"nu = {nu:g} is outside the float range") from exc
     return hook

@@ -129,8 +129,8 @@ def _fp_split(f: AnalyticFunction, kernel: FpKernel, precision: PrecisionConfig 
     s is split_radius(f, k); for entire f at least 1.25 min(scale_hint, a),
     since the pieces cancel like (omega/s)^k and the series must reach past
     the caller's omega scale; and at most a, where the series alone is the
-    value (route "series").  Beyond s (route "split_tail"): adaptive_quad up to a
-    finite a, else tail_integral aimed at the tail's own scale.  A non-finite
+    value (route "series").  Beyond s (route "split_tail"): adaptive_quad up
+    to a finite a, else tail_integral aimed at the tail's own scale.  A non-finite
     value, from a pole of f on the range, raises DomainError.
     """
     k, nu, a, e = kernel.k, kernel.nu, kernel.upper, kernel.exponent
