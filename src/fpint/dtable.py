@@ -172,15 +172,7 @@ def d13(a: float) -> float:
 def d14(a: float, n: int) -> float:
     """1/(exp(a x)+1) against x^{-2n}."""
     _check(a > 0 and n >= 1, "need a>0, n>=1")
-    if n <= 40:
-        b2n = sf.bernoulli_even(n)
-        p2 = 2.0 ** (2 * n)
-        return (a ** (2 * n - 1) * b2n / math.factorial(2 * n)
-                * (p2 * math.log(2.0) - (p2 - 1.0) * (_psi(2.0 * n) - math.log(a)))
-                + a ** (2 * n - 1) * (p2 - 1.0) / math.factorial(2 * n - 1)
-                * sf.zeta_prime_real(1.0 - 2 * n))
-    # large n: B_2n/(2n)! = (-1)^{n+1} 2 zeta(2n)/(2 pi)^{2n} keeps every factor
-    # representable (the raw Bernoulli numbers overflow binary64 around n ~ 130)
+    # B_2n/(2n)! = (-1)^{n+1} 2 zeta(2n)/(2 pi)^{2n} keeps every factor in range
     z2n = sf.zeta_real(2.0 * n)
     r = (-1.0) ** (n + 1) * 2.0 * z2n
     pi2n = math.exp(-2.0 * n * math.log(math.pi))        # (2/(2 pi))^{2n}
@@ -196,9 +188,7 @@ def d14(a: float, n: int) -> float:
 def d15(a: float, n: int) -> float:
     """1/(exp(a x)+1) against x^{-(2n+1)}."""
     _check(a > 0 and n >= 1, "need a>0, n>=1")
-    if n <= 40:
-        return (-(2.0 ** (2 * n + 1) - 1.0) * a ** (2 * n) / math.factorial(2 * n)
-                * sf.zeta_prime_at_negative_even(n))
+    # zeta'(-2n) = (-1)^n (2n)! zeta(2n+1) / (2 (2 pi)^{2n}) cancels the (2n)!
     pi2n = math.exp(-2.0 * n * math.log(math.pi))
     tpi2n = math.exp(-2.0 * n * math.log(2.0 * math.pi))
     return (-(-1.0) ** n * a ** (2 * n) * sf.zeta_real(2.0 * n + 1.0)

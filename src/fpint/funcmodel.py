@@ -504,7 +504,7 @@ def _make_exp_decay_shift(a: float, c: float):
 
 def _make_fermi(a: float):
     _require(a > 0, "fermi needs a > 0")
-    from .specfun import bernoulli_even
+    from .specfun import zeta_real
 
     def coeff(n: int):
         if n == 0:
@@ -512,11 +512,8 @@ def _make_fermi(a: float):
         if n % 2 == 0:
             return 0.0
         m = (n + 1) // 2
-        if m <= 40:
-            return -(2.0 ** (2 * m) - 1.0) * bernoulli_even(m) * a ** (2 * m - 1) \
-                / math.factorial(2 * m)
+        # c_{2m-1} = -(2^{2m}-1) B_{2m} a^{2m-1} / (2m)!, and
         # (2^{2m}-1) B_{2m} / (2m)! = (-1)^{m+1} 2 zeta(2m) (pi^-2m - (2pi)^-2m)
-        from .specfun import zeta_real
         pim = math.exp(-2.0 * m * math.log(math.pi))
         tpim = math.exp(-2.0 * m * math.log(2.0 * math.pi))
         return -((-1.0) ** (m + 1)) * 2.0 * zeta_real(2.0 * m) \

@@ -1,11 +1,12 @@
 """Self-contained special functions used by the closed forms and series.
 
-Everything here is binary64:  gamma/digamma (Lanczos, shifted Stirling),
-incomplete gamma (series / continued fraction, complex second argument
-supported), generalized hypergeometric pFq by term-ratio recurrence with
-compensated summation, the large-argument form of the coincident-parameter
-2F2, Bessel J0, Airy Ai / Ai', modified Bessel I_{+-1/3}, and real zeta /
-zeta' including negative arguments.
+Everything here is binary64:  real gamma (math.gamma, reflected below 0)
+and ln|gamma| with its sign, digamma (shifted Stirling), the upper and the
+regularized incomplete gamma (series / continued fraction; the upper one
+takes a complex second argument), generalized hypergeometric pFq by
+term-ratio recurrence with compensated summation, the large-argument form of
+the coincident-parameter 2F2, Bessel J0, Airy Ai / Ai', modified Bessel
+I_{+-1/3}, and real zeta / zeta' including negative arguments.
 
 J0 and Ai / Ai' are Horner kernels on coefficient tables built at import:
 J0 by its Maclaurin series for |x| <= 12.5 and its Hankel expansion beyond
@@ -31,20 +32,6 @@ from .errors import DomainError, NoConvergence, PoleError
 from .precision import CONSECUTIVE_SMALL_TERMS, PrecisionConfig, default_precision
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310422
-
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Crossover |z| above which the asymptotic 2F2 route is admitted.
 CROSSOVER_2F2 = 60.0
@@ -81,31 +68,8 @@ class _KahanC:
 # Gamma and digamma
 # ---------------------------------------------------------------------------
 
-def gamma(z: complex) -> complex:
-    """Gamma(z) for real or complex z; PoleError at non-positive integers.
-
-    Lanczos approximation on Re z >= 1/2, reflection formula otherwise.
-    Real input gives real output.
-    """
-    zc = complex(z)
-    if _near_nonpositive_int(zc):
-        raise PoleError(f"gamma pole at z={z}")
-    if zc.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        val = math.pi / (cmath.sin(math.pi * zc) * gamma(1.0 - zc))
-    else:
-        x = zc - 1.0
-        acc = _LANCZOS[0]
-        for i, c in enumerate(_LANCZOS[1:], start=1):
-            acc = acc + c / (x + i)
-        t = x + _LANCZOS_G + 0.5
-        val = math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * cmath.exp(-t) * acc
-    if isinstance(z, complex):
-        return val
-    return val.real
-
-
 def gamma_real(x: float) -> float:
+    """Gamma(x) for real x; PoleError at the non-positive integers."""
     if x > 0.0:
         return math.gamma(x)
     if _is_int(x):
@@ -203,48 +167,20 @@ def _upper_cf_factor(s: float, x: complex, rel_tol: float) -> complex:
     raise NoConvergence("upper incomplete gamma continued fraction stalled")
 
 
-def _upper_gamma_cf(s: float, x: complex, rel_tol: float) -> complex:
-    return cmath.exp(-x + s * cmath.log(x)) * _upper_cf_factor(s, x, rel_tol)
-
-
-def incomplete_gamma_lower(s: float, x: float) -> float:
-    """gamma(s, x) = int_0^x t^{s-1} e^{-t} dt, s > 0, x >= 0."""
-    rel_tol = default_precision().rel_tol
-    if s <= 0.0:
-        raise DomainError("lower incomplete gamma needs s > 0")
-    if x < 0.0:
-        raise DomainError("lower incomplete gamma needs x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _lower_gamma_series(s, complex(x), rel_tol).real
-    return math.gamma(s) - _upper_gamma_cf(s, complex(x), rel_tol).real
-
-
 def incomplete_gamma_upper(s: float, x: float | complex) -> float | complex:
-    """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt.
+    """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt, s > 0.
 
-    Any real s is admitted when x != 0 (downward recurrence lifts s <= 0);
     x may be complex (principal branch of x^s), which the catalog's
     oscillatory-kernel entries need.
     """
     rel_tol = default_precision().rel_tol
+    if s <= 0.0:
+        raise DomainError("upper incomplete gamma needs s > 0")
     xc = complex(x)
     if xc == 0:
-        if s <= 0.0:
-            raise DomainError("Gamma(s, 0) diverges for s <= 0")
         return math.gamma(s)
-    if s <= 0.0:
-        # Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s
-        n_shift = int(math.floor(1.0 - s))
-        s_top = s + n_shift
-        val = incomplete_gamma_upper(s_top, xc)
-        for j in range(n_shift):
-            sj = s_top - 1 - j
-            val = (val - cmath.exp(sj * cmath.log(xc) - xc)) / sj
-        return val if isinstance(x, complex) else val.real
     if xc.imag == 0.0 and xc.real > 0.0 and xc.real >= s + 1.0:
-        val = _upper_gamma_cf(s, xc, rel_tol)
+        val = cmath.exp(-xc + s * cmath.log(xc)) * _upper_cf_factor(s, xc, rel_tol)
     else:
         val = math.gamma(s) - _lower_gamma_series(s, xc, rel_tol)
     return val if isinstance(x, complex) else val.real
@@ -378,13 +314,6 @@ def hyper_2f2_asymptotic_11(k: int, a: float, s: float) -> complex:
                 ej_over_zj += z ** (i - j) / math.factorial(i)
             t = t / j - (ez * z ** (-j) - ej_over_zj) / j
     return (1j * a) ** k * t
-
-
-def hyper_2f2_11_direct(k: int, a: float, s: float) -> complex:
-    """Direct-summation value of the same quantity (small |a s| route)."""
-    z = 1j * a * s
-    val = hyper_pfq([1.0, 1.0], [2.0, 2.0 + k], z).value
-    return (1j * a) ** (k + 1) * s / math.factorial(k + 1) * val
 
 
 # ---------------------------------------------------------------------------
@@ -680,17 +609,11 @@ def _bernoulli_table(n_max: int) -> list[Fraction]:
     return out[:n_max + 1]
 
 
-_BERNOULLI = _bernoulli_table(128)
-# B_2j / (2j)! for j = 1..15: the Euler-Maclaurin correction weights of _zeta_em
+# B_0 .. B_30; B_2j / (2j)! for j = 1..15 are the Euler-Maclaurin correction
+# weights of _zeta_em
+_BERNOULLI = _bernoulli_table(30)
 _ZETA_EM_WEIGHTS = tuple(float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
                          for j in range(1, 16))
-
-
-def bernoulli_even(n: int) -> float:
-    """B_{2n} as a float (exact-rational table underneath)."""
-    if n < 0 or 2 * n >= len(_BERNOULLI):
-        raise DomainError(f"B_{2 * n} outside the precomputed table")
-    return float(_BERNOULLI[2 * n])
 
 
 _ZETA_EM_N = 24.0
@@ -738,9 +661,9 @@ def zeta_real(s: float) -> float:
         raise PoleError("zeta pole at s = 1")
     if s >= -0.5:
         return _zeta_em(s)
+    if _is_int(s) and round(s) % 2 == 0:
+        return 0.0          # the trivial zeros, where sin(pi s / 2) does not round to 0
     sin_factor = math.sin(0.5 * math.pi * s)
-    if sin_factor == 0.0:
-        return 0.0
     zr = _zeta_em(1.0 - s)
     ln_mag = (s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
               + math.lgamma(1.0 - s) + math.log(abs(sin_factor)) + math.log(abs(zr)))
@@ -763,15 +686,6 @@ def zeta_prime_real(s: float) -> float:
                  + 0.5 * math.pi / math.tan(0.5 * math.pi * s)
                  - digamma(1.0 - s).real - dzs / zs)
     return z * log_deriv
-
-
-def zeta_at_negative(n: int) -> float:
-    """zeta(-n) for integer n >= 0: -B_{n+1}/(n+1)."""
-    if n < 0:
-        raise DomainError("zeta_at_negative expects n >= 0")
-    if n == 0:
-        return -0.5
-    return float(-_BERNOULLI[n + 1] / (n + 1))
 
 
 def zeta_prime_at_negative_even(n: int) -> float:

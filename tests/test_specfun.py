@@ -17,24 +17,19 @@ def rel(got, want):
 
 class TestGamma:
     def test_factorial_identity(self):
-        assert rel(sf.gamma(5.0), 24.0) < 1e-14
+        assert rel(sf.gamma_real(5.0), 24.0) < 1e-14
 
     def test_half(self):
-        assert rel(sf.gamma(0.5), math.sqrt(math.pi)) < 1e-14
-
-    def test_complex_reference(self):
-        # frozen mpmath value
-        want = 0.9115615278045859309 - 1.3671933575854186188j
-        assert rel(sf.gamma(0.3 + 0.4j), want) < 1e-13
+        assert rel(sf.gamma_real(0.5), math.sqrt(math.pi)) < 1e-14
 
     def test_pole(self):
         with pytest.raises(PoleError):
-            sf.gamma(-3.0)
+            sf.gamma_real(-3.0)
 
     def test_reflection_grid(self):
         # gamma(z) gamma(1-z) sin(pi z)/pi = 1 away from poles
-        for z in [0.1, 0.37, 1.77, 2.5 + 0.3j, -0.4 + 1.1j, 3.25]:
-            val = sf.gamma(z) * sf.gamma(1.0 - z) * np.sin(np.pi * z) / np.pi
+        for z in [0.1, 0.37, 1.77, 3.25]:
+            val = sf.gamma_real(z) * sf.gamma_real(1.0 - z) * np.sin(np.pi * z) / np.pi
             assert abs(val - 1.0) < 1e-10
 
 
@@ -62,7 +57,9 @@ class TestIncompleteGamma:
         assert rel(sf.incomplete_gamma_upper(2.0, 0.0), 1.0) < 1e-14
 
     def test_lower_closed_form(self):
-        assert rel(sf.incomplete_gamma_lower(1.0, 1.0), 1.0 - math.exp(-1.0)) < 1e-12
+        # the lower function gamma(s, x) is Gamma(s) P(s, x)
+        assert rel(math.gamma(1.0) * sf.incomplete_gamma_p(1.0, 1.0),
+                   1.0 - math.exp(-1.0)) < 1e-12
 
     def test_upper_reference(self):
         # frozen mpmath value for Gamma(2.5, 3.7)
@@ -76,14 +73,16 @@ class TestIncompleteGamma:
     @pytest.mark.parametrize("s", [0.5, 1.5, 4.0])
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     def test_splitting(self, s, x):
-        total = sf.incomplete_gamma_upper(s, x) + sf.incomplete_gamma_lower(s, x)
+        total = sf.incomplete_gamma_upper(s, x) + math.gamma(s) * sf.incomplete_gamma_p(s, x)
         assert rel(total, math.gamma(s)) < 1e-10
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sf.incomplete_gamma_lower(-1.0, 2.0)
+            sf.incomplete_gamma_p(-1.0, 2.0)
         with pytest.raises(DomainError):
             sf.incomplete_gamma_upper(-0.5, 0.0)
+        with pytest.raises(DomainError):
+            sf.incomplete_gamma_upper(-0.5, 1.5)
 
 
 class TestPfq:
@@ -166,7 +165,9 @@ class Test2F2Asymptotic:
             z = mp.mpc(0, a) * s
             ref = complex(mp.mpc(0, a) ** (k + 1) * s / mp.factorial(k + 1)
                           * mp.hyper([1, 1], [2, 2 + k], z))
-        got = sf.hyper_2f2_11_direct(k, a, s)
+        # the direct summation of the same quantity, the small-|a s| route
+        val = sf.hyper_pfq([1.0, 1.0], [2.0, 2.0 + k], 1j * a * s).value
+        got = (1j * a) ** (k + 1) * s / math.factorial(k + 1) * val
         assert rel(got, ref) < 1e-10
 
 
@@ -249,13 +250,20 @@ class TestNonFinite:
 
 class TestZeta:
     def test_at_zero(self):
-        assert sf.zeta_at_negative(0) == -0.5
+        assert sf.zeta_real(0.0) == -0.5
 
     def test_at_minus_one(self):
-        assert rel(sf.zeta_at_negative(1), -1.0 / 12.0) < 1e-15
+        assert rel(sf.zeta_real(-1.0), -1.0 / 12.0) < 1e-15
 
     def test_trivial_zero(self):
-        assert sf.zeta_at_negative(2) == 0.0
+        assert sf.zeta_real(-2.0) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 150])
+    def test_trivial_zeros_are_exact(self, n):
+        # sin(pi s / 2) does not round to 0 at s = -2n, and the functional
+        # equation scales its rounding by Gamma(1 - s): 2e-18 at s = -2 and
+        # 4e62 at s = -100 before the trivial zeros were read off s
+        assert sf.zeta_real(-2.0 * n) == 0.0
 
     def test_zeta_prime_minus_two(self):
         want = -sf.zeta_real(3.0) / (4.0 * math.pi ** 2)
@@ -279,8 +287,8 @@ class TestZeta:
         assert rel(sf.zeta_prime_real(s), want) < 1e-11
 
     def test_bernoulli(self):
-        assert rel(sf.bernoulli_even(1), 1.0 / 6.0) < 1e-15
-        assert rel(sf.bernoulli_even(4), -1.0 / 30.0) < 1e-15
+        assert rel(float(sf._BERNOULLI[2]), 1.0 / 6.0) < 1e-15
+        assert rel(float(sf._BERNOULLI[8]), -1.0 / 30.0) < 1e-15
 
 
 class TestJ0Accuracy:
@@ -413,7 +421,7 @@ class TestZetaKernel:
 def test_bernoulli_table_equals_defining_recurrence():
     # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, B_0 = 1 (the B^- convention)
     want = [Fraction(1)]
-    for m in range(1, 129):
+    for m in range(1, 31):
         acc = Fraction(0)
         for j in range(m):
             acc += Fraction(math.comb(m + 1, j)) * want[j]
