@@ -346,6 +346,14 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
+def _quiet(eval_fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """eval_fn without numpy's warnings at a pole or past the float range."""
+    def ev(x):
+        with np.errstate(divide="ignore", over="ignore"):
+            return eval_fn(x)
+    return ev
+
+
 def _make_const(c: float = 1.0):
     return dict(
         eval_fn=lambda x: np.full(np.shape(x), float(c)),
@@ -358,7 +366,7 @@ def _make_const(c: float = 1.0):
 def _make_exp_decay(a: float):
     _require(a > 0, "exp_decay needs a > 0")
     return dict(
-        eval_fn=lambda x: np.exp(-a * x),
+        eval_fn=_quiet(lambda x: np.exp(-a * x)),
         coeff_fn=lambda n: ((-1.0) ** n) * _pow_over_factorial(a, n),
         rho0=math.inf, parity="none",
         tail=TailDecay(TAIL_EXP), tail_neg=tail_none(),
@@ -448,7 +456,7 @@ def _make_sqrt_inv_quad(a: float):
         return ((-1.0) ** m) * math.exp(ln_mag)
 
     return dict(
-        eval_fn=lambda x: 1.0 / np.sqrt(x * x + a * a),
+        eval_fn=_quiet(lambda x: 1.0 / np.sqrt(x * x + a * a)),
         coeff_fn=coeff, rho0=a, parity="even",
         tail=TailDecay(TAIL_ALG, power=1.0),
     )
@@ -456,8 +464,9 @@ def _make_sqrt_inv_quad(a: float):
 
 def _make_inv_cubic(c: float):
     _require(c > 0, "inv_cubic needs c > 0")
+    c3 = c ** 3                 # OverflowError here: builtin() refuses c
     return dict(
-        eval_fn=lambda x: 1.0 / (c ** 3 + x ** 3),
+        eval_fn=_quiet(lambda x: 1.0 / (c3 + x ** 3)),
         coeff_fn=lambda n: ((-1.0) ** (n // 3)) * c ** (-3.0 - n) if n % 3 == 0 else 0.0,
         rho0=c, parity="none",
         tail=TailDecay(TAIL_ALG, power=3.0), tail_neg=tail_none(),
@@ -481,7 +490,7 @@ def _make_inv_power_shift(s: float, mu: float):
 
 def _make_inv_linear(c: float):
     base = _make_inv_power_shift(c, 1.0)
-    base["eval_fn"] = lambda x: 1.0 / (c + x)
+    base["eval_fn"] = _quiet(lambda x: 1.0 / (c + x))
     return base
 
 
@@ -496,7 +505,7 @@ def _make_exp_decay_shift(a: float, c: float):
         return ((-1.0) ** n) * partials[n] / c ** (n + 1)
 
     return dict(
-        eval_fn=lambda x: np.exp(-a * x) / (x + c),
+        eval_fn=_quiet(lambda x: np.exp(-a * x) / (x + c)),
         coeff_fn=coeff, rho0=c, parity="none",
         tail=TailDecay(TAIL_EXP), tail_neg=tail_none(),
     )
