@@ -758,6 +758,7 @@ def verify_many(item_ids: list[str], tolerance: float | None = None,
 def _cx(v: complex | None) -> dict | None:
     if v is None:
         return None
+    v = complex(v)
     return {"re": v.real, "im": v.imag}
 
 

@@ -17,11 +17,13 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import catalog
 from . import hilbert as hb
+from .catalog import _cx
 from .errors import FpintError
 from .finitepart import resolve_fp
 from .funcmodel import builtin, builtin_names
@@ -88,11 +90,6 @@ def parse_upper(text: str) -> float:
     return value
 
 
-def _cx(v: complex) -> dict:
-    v = complex(v)
-    return {"re": v.real, "im": v.imag}
-
-
 def _write(args, text: str) -> None:
     """Write text, ended by a newline, to --out or else to stdout."""
     text = text if text.endswith("\n") else text + "\n"
@@ -103,16 +100,19 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, payload_json: dict, csv_rows: list[list], csv_header: list[str]) -> None:
-    if not args.hash_mode:
-        payload_json["timestamp"] = datetime.now(timezone.utc).isoformat()
+def _emit(args, payload_json: dict, csv_header: list[str],
+          csv_rows: Callable[[], Iterable[list]]) -> None:
+    """Write payload_json, or for --format csv the header and csv_rows(),
+    which builds the rows only then."""
     if args.format == "json":
+        if not args.hash_mode:
+            payload_json["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = json.dumps(payload_json, indent=2, sort_keys=True)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerows(csv_rows())
         text = buf.getvalue()
     _write(args, text)
 
@@ -136,12 +136,12 @@ def _cmd_eval_fp(args) -> int:
         "terms_used": fp.terms_used, "tail_estimate": fp.tail_estimate,
     }
     payload = {"command": "eval-fp", "results": [row]}
-    csv_rows = [[args.function, args.k, args.nu, args.upper,
-                 repr(complex(fp.value).real), repr(complex(fp.value).imag),
-                 fp.route, fp.terms_used, repr(fp.tail_estimate)]]
-    _emit(args, payload, csv_rows,
+    _emit(args, payload,
           ["function", "k", "nu", "upper", "value_re", "value_im", "route",
-           "terms", "tail_estimate"])
+           "terms", "tail_estimate"],
+          lambda: [[args.function, args.k, args.nu, args.upper,
+                    repr(complex(fp.value).real), repr(complex(fp.value).imag),
+                    fp.route, fp.terms_used, repr(fp.tail_estimate)]])
     return 0
 
 
@@ -152,32 +152,30 @@ def _cmd_eval_hilbert(args) -> int:
         raise SchemaError(f"unknown variant {args.variant!r}")
     precision = _precision(args)
     upper = parse_upper(args.upper)
-    rows_json = []
-    rows_csv = []
     omegas = parse_omega(args.omega)
     reports = hb.evaluate_grid(variant, f, omegas, args.nu, upper, precision=precision)
-    for omega, rep in zip(omegas, reports):
-        rows_json.append({
-            "omega": omega, "value": _cx(rep.value),
-            "finite_part_sum": _cx(rep.finite_part_sum),
-            "singular_contribution": _cx(rep.singular_contribution),
-            "convergent_prefix": _cx(rep.convergent_prefix),
-            "terms_used": rep.terms_used, "tail_estimate": rep.tail_estimate,
-            "route_notes": rep.route_notes,
-        })
-        rows_csv.append([repr(omega),
-                         repr(rep.value.real), repr(rep.value.imag),
-                         repr(rep.finite_part_sum.real), repr(rep.finite_part_sum.imag),
-                         repr(rep.singular_contribution.real),
-                         repr(rep.singular_contribution.imag),
-                         repr(rep.convergent_prefix.real), repr(rep.convergent_prefix.imag),
-                         rep.terms_used, repr(rep.tail_estimate)])
+    rows = list(zip(omegas, reports))
+    results = [{
+        "omega": omega, "value": _cx(rep.value),
+        "finite_part_sum": _cx(rep.finite_part_sum),
+        "singular_contribution": _cx(rep.singular_contribution),
+        "convergent_prefix": _cx(rep.convergent_prefix),
+        "terms_used": rep.terms_used, "tail_estimate": rep.tail_estimate,
+        "route_notes": rep.route_notes,
+    } for omega, rep in rows]
     payload = {"command": "eval-hilbert", "variant": variant,
-               "function": args.function, "nu": args.nu, "results": rows_json}
-    _emit(args, payload, rows_csv,
+               "function": args.function, "nu": args.nu, "results": results}
+    _emit(args, payload,
           ["omega", "value_re", "value_im", "fp_sum_re", "fp_sum_im",
            "singular_re", "singular_im", "prefix_re", "prefix_im", "terms",
-           "tail_estimate"])
+           "tail_estimate"],
+          lambda: ([repr(omega),
+                    repr(rep.value.real), repr(rep.value.imag),
+                    repr(rep.finite_part_sum.real), repr(rep.finite_part_sum.imag),
+                    repr(rep.singular_contribution.real),
+                    repr(rep.singular_contribution.imag),
+                    repr(rep.convergent_prefix.real), repr(rep.convergent_prefix.imag),
+                    rep.terms_used, repr(rep.tail_estimate)] for omega, rep in rows))
     return 0
 
 
@@ -193,10 +191,10 @@ def _cmd_asym(args) -> int:
                "results": [{"leading_kind": lead.kind,
                             "coefficient": _cx(lead.coefficient),
                             "exponent": lead.exponent}]}
-    rows = [[lead.kind, repr(complex(lead.coefficient).real),
-             repr(complex(lead.coefficient).imag), repr(lead.exponent)]]
-    _emit(args, payload, rows,
-          ["leading_kind", "coefficient_re", "coefficient_im", "exponent"])
+    _emit(args, payload,
+          ["leading_kind", "coefficient_re", "coefficient_im", "exponent"],
+          lambda: [[lead.kind, repr(complex(lead.coefficient).real),
+                    repr(complex(lead.coefficient).imag), repr(lead.exponent)]])
     return 0
 
 
@@ -219,11 +217,11 @@ def _cmd_verify(args) -> int:
 def _cmd_list(args) -> int:
     rows = catalog.list_items(kernel=args.kernel, function=args.function_filter)
     payload = {"command": "list", "results": rows}
-    csv_rows = [[r["id"], r["kind"], r["kernel"], r["function"], r["domain"],
-                 ";".join(r["linked_fp_items"]), r["description"]] for r in rows]
-    _emit(args, payload, csv_rows,
+    _emit(args, payload,
           ["id", "kind", "kernel", "function", "domain", "linked_fp_items",
-           "description"])
+           "description"],
+          lambda: ([r["id"], r["kind"], r["kernel"], r["function"], r["domain"],
+                    ";".join(r["linked_fp_items"]), r["description"]] for r in rows))
     return 0
 
 

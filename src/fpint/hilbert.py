@@ -39,7 +39,7 @@ the cancellation check and the notes.  evaluate_transform is the one-point grid.
 The sum (precision.sum_series) stops after three small terms; where
 min(a, rho0) is finite, its terms fall like (|omega| / min(a, rho0))^k, and it
 also stops once its Wynn-epsilon estimate settles, or is refused when six
-term ratios reach RATIO_LIMIT.
+term ratios reach precision.RATIO_LIMIT.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .pvoracle import VARIANTS, check_domain, neg_weight, regular_integral
 FP_MODES = ("auto", "generic")
 
 OMEGA_MARGIN = 0.99
-RATIO_LIMIT = 0.999
 PROVISO_FLOOR = 1e-13
 
 
@@ -184,7 +183,6 @@ class _Engine:
 
         total, used, tail, peak_term = sum_series(
             term, self.precision.rel_tol, self.precision.max_terms,
-            ratio_limit=RATIO_LIMIT if self.bounded_domain else None,
             wynn=self.bounded_domain)
         _check_cancellation(peak_term, noise, abs(total), notes)
         return total, used, tail

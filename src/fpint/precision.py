@@ -27,6 +27,8 @@ CONSECUTIVE_SMALL_TERMS = 3
 # O(WYNN_DEPTH); an unbounded table would cost O(k) at term k.
 WYNN_DEPTH = 6
 
+RATIO_LIMIT = 0.999     # term ratio of a series on its boundary (sum_series(wynn=True))
+
 
 @dataclass(frozen=True)
 class PrecisionConfig:
@@ -117,25 +119,24 @@ def normed_design(x: np.ndarray, powers: list[float], weights=None, log=False):
 
 
 def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
-               first_stop: int = 4, ratio_limit: float | None = None,
-               wynn: bool = False) -> tuple[complex, int, float, float]:
+               first_stop: int = 4, wynn: bool = False) -> tuple[complex, int, float, float]:
     """Sum term(0) + term(1) + ... to convergence.
 
     A term is small when |term| <= rel_tol * max(|total|, 1e-3 * peak, 1e-300),
     peak being the largest |partial sum| so far.  The sum stops after
     CONSECUTIVE_SMALL_TERMS small terms in a row, at index first_stop or
-    later (leading zero terms must not stop it early).  With ratio_limit set,
-    six consecutive term ratios >= ratio_limit past term 24 raise
-    ConvergenceDomain: the series sits on its convergence boundary.
+    later (leading zero terms must not stop it early).
 
-    With wynn set, each partial sum also enters Wynn's epsilon table (at most
-    WYNN_DEPTH columns; wynn_push), whose top even column is the estimate
-    of the sum.  Once CONSECUTIVE_SMALL_TERMS successive differences of the
-    estimate are small in the sense above, at index first_stop or later, the
-    estimate is returned.  For a series that falls only geometrically, like
-    (omega / rho0)^k near a finite radius, this needs far fewer terms.  The
-    small-term stop is tested first, so a series that stops by it returns
-    exactly what it returns without wynn.
+    wynn is for a series whose terms fall like (omega / rho0)^k toward a
+    finite radius, and adds two rules.  Six consecutive term ratios >=
+    RATIO_LIMIT past term 24 raise ConvergenceDomain: the series sits on its
+    convergence boundary.  And each partial sum enters Wynn's epsilon table
+    (at most WYNN_DEPTH columns; wynn_push), whose top even column is the
+    estimate of the sum; once CONSECUTIVE_SMALL_TERMS successive differences
+    of the estimate are small in the sense above, at index first_stop or
+    later, the estimate is returned, far sooner than the terms get small.
+    The small-term stop is tested first, so a series that stops by it
+    returns exactly what it returns without wynn.
 
     A term that is not finite (inf or nan) raises NoConvergence.
 
@@ -166,13 +167,13 @@ def sum_series(term: Callable[[int], complex], rel_tol: float, max_terms: int,
         else:
             small = 0
             tail = mag
-        if ratio_limit is not None and mag > 0.0:
+        if wynn and mag > 0.0:
             if prev_mag > 0.0:
                 ratios.append(mag / prev_mag)
                 if (k > 24 and len(ratios) == 6 and mag > floor
-                        and min(ratios) >= ratio_limit):
+                        and min(ratios) >= RATIO_LIMIT):
                     raise ConvergenceDomain(
-                        f"series term ratio ~{min(ratios):.4f} >= {ratio_limit}; "
+                        f"series term ratio ~{min(ratios):.4f} >= {RATIO_LIMIT}; "
                         "omega too close to min(a, rho0)")
             prev_mag = mag
         if wynn:

@@ -76,6 +76,58 @@ class TestEvalHilbert:
                 for w, r in zip(omegas, reps)]
             assert lines == want
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_hash_mode_bytes_as_writer_that_built_every_row(self, capsys, fmt):
+        # the writer below built the JSON and the CSV rows for either format;
+        # the CLI now builds only the rows of its format, with the same bytes
+        import csv
+        import io
+        from fpint import funcmodel as fm
+        from fpint import hilbert as hb
+        code, out, _ = run(capsys, [
+            "eval-hilbert", "--variant", "sym-x", "--function", "sqrt_inv_quad:a=1.4",
+            "--nu", "0.3", "--omega", "0.1:1.37:7", "--hash-mode", "--format", fmt])
+        assert code == 0
+        omegas = [float(w) for w in np.linspace(0.1, 1.37, 7)]
+        reports = hb.evaluate_grid("sym_x", fm.builtin("sqrt_inv_quad", a=1.4), omegas,
+                                   0.3, math.inf)
+
+        def _cx(v):
+            v = complex(v)
+            return {"re": v.real, "im": v.imag}
+
+        rows_json = []
+        rows_csv = []
+        for omega, rep in zip(omegas, reports):
+            rows_json.append({
+                "omega": omega, "value": _cx(rep.value),
+                "finite_part_sum": _cx(rep.finite_part_sum),
+                "singular_contribution": _cx(rep.singular_contribution),
+                "convergent_prefix": _cx(rep.convergent_prefix),
+                "terms_used": rep.terms_used, "tail_estimate": rep.tail_estimate,
+                "route_notes": rep.route_notes,
+            })
+            rows_csv.append([repr(omega),
+                             repr(rep.value.real), repr(rep.value.imag),
+                             repr(rep.finite_part_sum.real), repr(rep.finite_part_sum.imag),
+                             repr(rep.singular_contribution.real),
+                             repr(rep.singular_contribution.imag),
+                             repr(rep.convergent_prefix.real), repr(rep.convergent_prefix.imag),
+                             rep.terms_used, repr(rep.tail_estimate)])
+        payload = {"command": "eval-hilbert", "variant": "sym_x",
+                   "function": "sqrt_inv_quad:a=1.4", "nu": 0.3, "results": rows_json}
+        if fmt == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["omega", "value_re", "value_im", "fp_sum_re", "fp_sum_im",
+                             "singular_re", "singular_im", "prefix_re", "prefix_im", "terms",
+                             "tail_estimate"])
+            writer.writerows(rows_csv)
+            text = buf.getvalue()
+        assert out == (text if text.endswith("\n") else text + "\n")
+
     def test_json_roundtrip_bit_identical(self, capsys):
         from fpint import funcmodel as fm
         from fpint import hilbert as hb
