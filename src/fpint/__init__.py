@@ -13,8 +13,7 @@ from .errors import (AllZeroError, ConsistencyError, ConvergenceDomain,
                      PoleError, ProvisoViolated, QuadratureFailure,
                      TailBoundUnmet, TailNotIntegrable, UnknownBuiltin,
                      UnknownItem)
-from .finitepart import (FpKernel, FpValue, fp_catalog, fp_epsilon_oracle,
-                         fp_exp_osc, fp_infinite, fp_quartic, fp_series_finite,
+from .finitepart import (FpKernel, FpValue, fp_epsilon_oracle, fp_quartic,
                          resolve_fp)
 from .funcmodel import (AnalyticFunction, TailDecay, builtin, builtin_names,
                         factor_zero, from_coefficients, linear_combination,

@@ -4,7 +4,7 @@
 entries (D.1-D.25).  Every entry carries a closed form over the special-function
 layer, the theorem route that reproduces it, and an independent oracle; the
 verification harness cross-checks the triple on deterministic parameter samples
-and serializes the outcome to JSON/CSV.
+and returns the outcome as report dataclasses (the CLI writes them out).
 
 A C row (`_c_item`) gives id, description, domain, variant, family, closed
 form, builtin, sample space, omega cap (omega samples 0.3/0.55/0.8 of it) and
@@ -18,9 +18,6 @@ back from the C rows.  `kind` is "finite_part" exactly for the D items.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,7 +29,7 @@ from . import dtable
 from . import hilbert as hb
 from . import specfun as sf
 from .errors import FpintError, UnknownItem
-from .finitepart import FpKernel, fp_epsilon_oracle, fp_infinite, fp_quartic
+from .finitepart import FpKernel, fp_epsilon_oracle, fp_quartic, resolve_fp
 from .funcmodel import builtin, quartic_rho0
 from .precision import PrecisionConfig, sum_series
 from .pvoracle import pv_transform
@@ -634,15 +631,18 @@ def _d_item(position: int, row: dtable.DItem) -> CatalogItem:
         f = builtin(row.builtin, **{p: params[p] for p in row.builtin_params})
         return f, FpKernel(*row.kernel(params), math.inf)
 
+    def theorem(params, fp_mode="auto"):
+        # the generic route whatever fp_mode: the hook is the closed form itself
+        f, kernel = integral(params)
+        return resolve_fp(f, kernel.k, kernel.nu, kernel.upper, use_hook=False).value
+
     def oracle(params):
         f, kernel = integral(params)
         return fp_epsilon_oracle(f.evaluate, kernel, tail=f.tail).value
 
-    # fp_infinite is the generic route itself: every fp_mode runs it
     return CatalogItem(
         row.item_id, row.description, row.domain, "finite_part", row.builtin,
-        lambda params: row.evaluate(**params),
-        lambda params, fp_mode="auto": fp_infinite(*integral(params)).value, oracle,
+        lambda params: row.evaluate(**params), theorem, oracle,
         _three_samples(row.sample_space, row.integer_params, None, 100 + position),
         tuple(c.item_id for c in C_ITEMS.values() if row.item_id in c.linked_fp_items))
 
@@ -753,64 +753,6 @@ def verify_item(item_id: str, tolerance: float | None = None,
 def verify_many(item_ids: list[str], tolerance: float | None = None,
                 seed: int = SAMPLE_SEED, route: str = "auto") -> list[VerificationReport]:
     return [verify_item(i, tolerance, seed, route=route) for i in item_ids]
-
-
-def _cx(v: complex | None) -> dict | None:
-    if v is None:
-        return None
-    v = complex(v)
-    return {"re": v.real, "im": v.imag}
-
-
-def reports_to_json(reports: list[VerificationReport], timestamp: str | None = None) -> str:
-    # wall-clock fields ride along only when a timestamp is wanted at all
-    payload = {
-        "reports": [
-            {
-                "item": r.item_id,
-                "tolerance": r.tolerance,
-                "seed": r.seed,
-                "passed": r.passed,
-                "route": r.route,
-                **({"runtime_s": round(r.runtime, 6)} if timestamp is not None else {}),
-                "notes": r.notes,
-                "samples": [
-                    {
-                        "params": s.params,
-                        "closed_form": _cx(s.closed),
-                        "theorem_route": _cx(s.theorem),
-                        "oracle": _cx(s.oracle),
-                        "max_pairwise_rel": s.max_pairwise_rel,
-                        "passed": s.passed,
-                        "error": s.error,
-                    }
-                    for s in r.samples
-                ],
-            }
-            for r in reports
-        ],
-    }
-    if timestamp is not None:
-        payload["timestamp"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def reports_to_csv(reports: list[VerificationReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["item", "params", "closed_re", "closed_im", "theorem_re",
-                     "theorem_im", "oracle_re", "oracle_im", "max_pairwise_rel",
-                     "tolerance", "passed", "error"])
-    for r in reports:
-        for s in r.samples:
-            writer.writerow([
-                r.item_id, json.dumps(s.params, sort_keys=True),
-                *(("", "") if s.closed is None else (repr(s.closed.real), repr(s.closed.imag))),
-                *(("", "") if s.theorem is None else (repr(s.theorem.real), repr(s.theorem.imag))),
-                *(("", "") if s.oracle is None else (repr(s.oracle.real), repr(s.oracle.imag))),
-                repr(s.max_pairwise_rel), repr(r.tolerance), s.passed, s.error,
-            ])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import catalog
 from . import hilbert as hb
-from .catalog import _cx
 from .errors import FpintError
 from .finitepart import resolve_fp
 from .funcmodel import builtin, builtin_names
@@ -100,6 +99,22 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _cx(v: complex | None) -> dict | None:
+    """A complex value as {"re": ..., "im": ...}; None stays None."""
+    if v is None:
+        return None
+    v = complex(v)
+    return {"re": v.real, "im": v.imag}
+
+
+def _cx_cols(v: complex | None) -> list[str]:
+    """A complex value as its two CSV columns, both empty for None."""
+    if v is None:
+        return ["", ""]
+    v = complex(v)
+    return [repr(v.real), repr(v.imag)]
+
+
 def _emit(args, payload_json: dict, csv_header: list[str],
           csv_rows: Callable[[], Iterable[list]]) -> None:
     """Write payload_json, or for --format csv the header and csv_rows(),
@@ -139,8 +154,7 @@ def _cmd_eval_fp(args) -> int:
     _emit(args, payload,
           ["function", "k", "nu", "upper", "value_re", "value_im", "route",
            "terms", "tail_estimate"],
-          lambda: [[args.function, args.k, args.nu, args.upper,
-                    repr(complex(fp.value).real), repr(complex(fp.value).imag),
+          lambda: [[args.function, args.k, args.nu, args.upper, *_cx_cols(fp.value),
                     fp.route, fp.terms_used, repr(fp.tail_estimate)]])
     return 0
 
@@ -169,12 +183,8 @@ def _cmd_eval_hilbert(args) -> int:
           ["omega", "value_re", "value_im", "fp_sum_re", "fp_sum_im",
            "singular_re", "singular_im", "prefix_re", "prefix_im", "terms",
            "tail_estimate"],
-          lambda: ([repr(omega),
-                    repr(rep.value.real), repr(rep.value.imag),
-                    repr(rep.finite_part_sum.real), repr(rep.finite_part_sum.imag),
-                    repr(rep.singular_contribution.real),
-                    repr(rep.singular_contribution.imag),
-                    repr(rep.convergent_prefix.real), repr(rep.convergent_prefix.imag),
+          lambda: ([repr(omega), *_cx_cols(rep.value), *_cx_cols(rep.finite_part_sum),
+                    *_cx_cols(rep.singular_contribution), *_cx_cols(rep.convergent_prefix),
                     rep.terms_used, repr(rep.tail_estimate)] for omega, rep in rows))
     return 0
 
@@ -193,8 +203,7 @@ def _cmd_asym(args) -> int:
                             "exponent": lead.exponent}]}
     _emit(args, payload,
           ["leading_kind", "coefficient_re", "coefficient_im", "exponent"],
-          lambda: [[lead.kind, repr(complex(lead.coefficient).real),
-                    repr(complex(lead.coefficient).imag), repr(lead.exponent)]])
+          lambda: [[lead.kind, *_cx_cols(lead.coefficient), repr(lead.exponent)]])
     return 0
 
 
@@ -205,9 +214,26 @@ def _cmd_verify(args) -> int:
         raise SchemaError(f"no catalog items match {args.items!r}")
     reports = catalog.verify_many(wanted, tolerance=args.tol, seed=args.seed,
                                   route=args.route)
-    timestamp = None if args.hash_mode else datetime.now(timezone.utc).isoformat()
-    _write(args, catalog.reports_to_json(reports, timestamp) if args.format == "json"
-           else catalog.reports_to_csv(reports))
+    # wall-clock fields ride along only when a timestamp is written at all
+    payload = {"reports": [{
+        "item": r.item_id, "tolerance": r.tolerance, "seed": r.seed,
+        "passed": r.passed, "route": r.route,
+        **({} if args.hash_mode else {"runtime_s": round(r.runtime, 6)}),
+        "notes": r.notes,
+        "samples": [{
+            "params": s.params, "closed_form": _cx(s.closed),
+            "theorem_route": _cx(s.theorem), "oracle": _cx(s.oracle),
+            "max_pairwise_rel": s.max_pairwise_rel, "passed": s.passed,
+            "error": s.error,
+        } for s in r.samples],
+    } for r in reports]}
+    _emit(args, payload,
+          ["item", "params", "closed_re", "closed_im", "theorem_re", "theorem_im",
+           "oracle_re", "oracle_im", "max_pairwise_rel", "tolerance", "passed", "error"],
+          lambda: ([r.item_id, json.dumps(s.params, sort_keys=True), *_cx_cols(s.closed),
+                    *_cx_cols(s.theorem), *_cx_cols(s.oracle), repr(s.max_pairwise_rel),
+                    repr(r.tolerance), s.passed, s.error]
+                   for r in reports for s in r.samples))
     n_pass = sum(1 for r in reports if r.passed)
     print(f"verified {len(reports)} items: {n_pass} passed, "
           f"{len(reports) - n_pass} failed", file=sys.stderr)

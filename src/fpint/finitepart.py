@@ -1,11 +1,13 @@
 """Finite parts ffp_0^a f(x) x^-(k+nu) dx.
 
-Three routes: the generic construction, tabulated closed forms (dtable / the
-quartic family), and an independent numeric eps-extraction oracle that fits
-and removes the known divergent powers from int_eps^a.  The generic route is
-one function, _fp_split: term-by-term Maclaurin extraction up to a split
-point s (the diverging eps-powers and log eps dropped) plus the ordinary
-integral of f x^-(k+nu) beyond s, over [s, a] or [s, inf).
+resolve_fp is the one front door, for a finite or an infinite upper limit:
+f's closed-form hook (dtable) where it answers and use_hook is set, else the
+generic construction _fp_split: term-by-term Maclaurin extraction up to a
+split point s (the diverging eps-powers and log eps dropped) plus the
+ordinary integral of f x^-(k+nu) beyond s, over [s, a] or [s, inf).  Beside
+it stand the quartic family's closed form (fp_quartic) and an independent
+numeric eps-extraction oracle (fp_epsilon_oracle) that fits and removes the
+known divergent powers from int_eps^a.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dtable
 from .errors import (DomainError, FitIllConditioned, NoConvergence,
                      TailNotIntegrable)
 from .funcmodel import AnalyticFunction, TailDecay
@@ -28,7 +29,7 @@ EPS_GRID_LEN = 18
 EPS_LADDER_FLOOR = -6.5
 CONDITION_CAP = 1e10          # cap on the divergent-model design matrix
 EXTENDED_CONDITION_CAP = 1e15  # guard on the ladder-augmented matrix
-_BUDGET = QuadratureBudget()   # quadrature tolerances of the generic route
+_BUDGET = QuadratureBudget()   # quadrature tolerances of both finite-part routes
 
 
 def snap_nu(nu: float) -> float:
@@ -166,33 +167,6 @@ def _fp_split(f: AnalyticFunction, kernel: FpKernel, precision: PrecisionConfig 
     return FpValue(value, route, terms, tail, max(cancel, 1.0))
 
 
-def fp_series_finite(f: AnalyticFunction, kernel: FpKernel,
-                     precision: PrecisionConfig | None = None,
-                     scale_hint: float | None = None) -> FpValue:
-    """Finite part over [0, a], a finite (see _fp_split)."""
-    if not math.isfinite(kernel.upper):
-        raise DomainError("fp_series_finite needs a finite upper limit")
-    return _fp_split(f, kernel, precision, scale_hint)
-
-
-def fp_infinite(f: AnalyticFunction, kernel: FpKernel,
-                precision: PrecisionConfig | None = None,
-                scale_hint: float | None = None) -> FpValue:
-    """Finite part over [0, inf) (see _fp_split)."""
-    if math.isfinite(kernel.upper):
-        raise DomainError("fp_infinite expects upper = inf")
-    return _fp_split(f, kernel, precision, scale_hint)
-
-
-def fp_exp_osc(a: float, k: int) -> complex:
-    """Closed form of ffp_0^inf e^{iax} x^-(k+1) dx for real a != 0, k >= 0."""
-    if not (math.isfinite(a) and a != 0.0):
-        raise DomainError("a must be finite and nonzero")
-    if k < 0 or int(k) != k:
-        raise DomainError("k must be a non-negative integer")
-    return dtable.d2_log(a, k)
-
-
 def _quartic_binomial_sum(k: int, two_beta: float) -> float:
     total = 0.0
     for n in range(k // 2 + 1):
@@ -233,14 +207,7 @@ def fp_quartic(beta: float, omega_j: float, k: int, method: str = "auto") -> flo
             * (a_big ** (-(k + 1.5)) - b_small ** (-(k + 1.5))))
 
 
-def fp_catalog(item_id: str, **params) -> complex:
-    """Evaluate a tabulated half-line finite part by its table id (D.*)."""
-    item = dtable.get_item(item_id)
-    return item.evaluate(**params)
-
-
 def fp_epsilon_oracle(f_eval, kernel: FpKernel,
-                      budget: QuadratureBudget | None = None,
                       tail: TailDecay | None = None) -> FpValue:
     """Numeric finite part from I(eps) = int_eps^a f x^-(k+nu) dx.
 
@@ -255,7 +222,6 @@ def fp_epsilon_oracle(f_eval, kernel: FpKernel,
     zero: the vanishing remainder powers are kernel-known too, and dropping
     them contaminates c0 at the coarse end of the grid.
     """
-    budget = budget or QuadratureBudget()
     k, nu = kernel.k, kernel.nu
     e = kernel.exponent
     a = kernel.upper
@@ -268,7 +234,7 @@ def fp_epsilon_oracle(f_eval, kernel: FpKernel,
         def tail_integrand(x: np.ndarray):
             return np.asarray(f_eval(x)) * x ** (-e)
 
-        tail_part = tail_integral(tail_integrand, a, tail.over_power(e), budget)
+        tail_part = tail_integral(tail_integrand, a, tail.over_power(e), _BUDGET)
 
     powers = []
     p = e - 1.0
@@ -321,7 +287,8 @@ def resolve_fp(f: AnalyticFunction, k: int, nu: float, upper: float,
                precision: PrecisionConfig | None = None,
                use_hook: bool = True,
                scale_hint: float | None = None) -> FpValue:
-    """Finite part by the best available route: closed form, else series."""
+    """Finite part by the best available route: f's closed-form hook when
+    use_hook is set and the hook answers, else the generic _fp_split."""
     nu = snap_nu(nu)
     if use_hook and f.fp_hook is not None:
         val = f.fp_hook(k, nu, upper)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ConvergenceDomain, DomainError, FpintError, ProvisoViolated
 from .finitepart import FpValue, resolve_fp, snap_nu
-from .funcmodel import AnalyticFunction, factor_zero, scaled
+from .funcmodel import AnalyticFunction, factor_zero
 from .precision import PrecisionConfig, default_precision, sum_series
 from .pvoracle import VARIANTS, check_domain, neg_weight, regular_integral
 
@@ -209,25 +209,12 @@ def _check_cancellation(peak_term: float, noise: float, total_mag: float,
         notes.append(f"series cancellation ~{lost:.0e}; about {int(math.log10(lost))} digits lost")
 
 
-def _reflected_g(f: AnalyticFunction, m: int, g: AnalyticFunction) -> AnalyticFunction:
-    """Function x -> g(-x), reusing closed-form providers where possible."""
-    if g.parity == "even":
-        return g
-    if g.parity == "odd":
-        return scaled(g, -1.0)
-    fr = f.reflect()
-    if m == 0:
-        return fr
-    _, gr = factor_zero(fr)
-    return scaled(gr, (-1.0) ** m)
-
-
-def _arms(v: str, f: AnalyticFunction, g: AnalyticFunction, m: int,
-          nu: float, force_generic_parity: bool, notes: list[str]) -> list[_Arm]:
+def _arms(v: str, g: AnalyticFunction, m: int, nu: float, force_generic_parity: bool,
+          notes: list[str]) -> list[_Arm]:
     """The series arms of variant v at unit omega (z = +-1; see the module
     docstring); a row at omega uses z * omega."""
-    if v == "stieltjes":
-        return [_Arm(1.0, -1.0, 0, f)]
+    if v == "stieltjes":                       # g = f, m = 0 here
+        return [_Arm(1.0, -1.0, 0, g)]
     if v == "one_sided":
         return [_Arm(-1.0, 1.0, m, g)]
     if v in ("sym_omega", "sym_x"):
@@ -247,7 +234,7 @@ def _arms(v: str, f: AnalyticFunction, g: AnalyticFunction, m: int,
             c_even, c_odd = w - 1.0, -1.0 - w
     else:
         # sum_k omega^(m+k) ffp [(-1)^k w g(-x) - g(x)] x^-(k+1+nu)
-        return [_Arm(1.0, 1.0, m, g, gneg=_reflected_g(f, m, g), w=neg_weight(v, nu))]
+        return [_Arm(1.0, 1.0, m, g, gneg=g.reflect(), w=neg_weight(v, nu))]
     return [_Arm(c, 1.0, m + j - 1, g, 2, j)
             for c, j in ((c_even, 1), (c_odd, 2)) if c != 0.0]
 
@@ -319,7 +306,7 @@ def evaluate_grid(variant: str, f: AnalyticFunction, omegas, nu: float = 0.0,
         gpos = g.evaluate(np.array(ws)).tolist() if any(r[0] for r in sing) else None
         gneg = g.evaluate(-np.array(ws)).tolist() if any(r[1] for r in sing) else None
         arm_notes: list[str] = []
-        arms = _arms(v, f, g, m, nu, force_generic_parity, arm_notes)
+        arms = _arms(v, g, m, nu, force_generic_parity, arm_notes)
         eng = _Engine(nu, a, precision, fp_mode != "generic",
                       max(map(abs, ws)), math.isfinite(min(a, f.rho0)))
         for i, omega in enumerate(ws):
@@ -431,7 +418,7 @@ def small_omega_asymptotic(spec: TransformSpec, f: AnalyticFunction) -> LeadingT
         candidates.append((m + n - nu, log, coef))
     # at unit omega z = +-1, so each term is its coefficient of omega^e
     eng = _Engine(nu, a)
-    for arm in _arms(v, f, g, m, nu, False, []):
+    for arm in _arms(v, g, m, nu, False, []):
         first = (next(_prefix_terms(arm, 1.0, eng.integral)) if arm.p >= arm.step
                  else complex(arm.c * arm.z ** arm.p * eng.arm_fp(arm, 0)[0]))
         candidates.append((float(arm.p % arm.step), False, first))

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from fpint import catalog as cat
+from fpint import cli
 from fpint.errors import UnknownItem
 
 
@@ -81,18 +82,20 @@ def test_verify_item_domain_violation_recorded():
     assert rep.samples[0].error
 
 
-def test_report_serialization_roundtrip():
+def test_report_serialization_roundtrip(tmp_path):
     rep = cat.verify_item("D.13")
-    text = cat.reports_to_json([rep])
-    parsed = json.loads(text)
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--items", "D.13", "--out", str(out)]) == 0
+    parsed = json.loads(out.read_text())
     assert parsed["reports"][0]["item"] == "D.13"
     assert parsed["reports"][0]["passed"] is True
     sample = parsed["reports"][0]["samples"][0]
     # bit-identical float round-trip through JSON
     assert sample["closed_form"]["re"] == rep.samples[0].closed.real
 
-    csv_text = cat.reports_to_csv([rep])
-    lines = csv_text.strip().splitlines()
+    out = tmp_path / "verify.csv"
+    assert cli.main(["verify", "--items", "D.13", "--format", "csv", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + len(rep.samples)
     assert lines[0].startswith("item,params,")
 

@@ -102,9 +102,9 @@ def test_finite_part_exp_decay_shift(k, nu):
     # generic series+tail route vs an mpmath eps-limit evaluation; the
     # subtraction coefficients must be extended precision too, since they
     # cancel eps^-(k+nu-1)-sized divergent parts
-    from fpint.finitepart import FpKernel, fp_infinite
+    from fpint.finitepart import resolve_fp
     f = fm.builtin("exp_decay_shift", a=0.9, c=1.1)
-    got = fp_infinite(f, FpKernel(k, nu, math.inf)).value
+    got = resolve_fp(f, k, nu, math.inf, use_hook=False).value
 
     with mp.workdps(50):
         a_p, c_p = mp.mpf('0.9'), mp.mpf('1.1')

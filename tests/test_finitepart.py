@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fpint import catalog
 from fpint import finitepart as fp
 from fpint import funcmodel as fm
 from fpint.errors import DomainError
@@ -13,6 +14,11 @@ GAMMA_E = 0.5772156649015328606
 
 def rel(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+def exp_osc_fp(a, k):
+    """ffp_0^inf e^{iax} x^-(k+1) dx by the exp_osc closed-form hook."""
+    return fp.resolve_fp(fm.builtin("exp_osc", a=a), k + 1, 0.0, math.inf).value
 
 
 class TestKernel:
@@ -45,27 +51,27 @@ class TestSeriesFinite:
         # ffp_0^s e^{iax}/x^{k+1}: explicit partial expansion, frozen via
         # an independent 30-digit evaluation of the tail series
         f = fm.builtin("exp_osc", a=1.0)
-        got = fp.fp_series_finite(f, fp.FpKernel(3, 0.0, 0.8)).value
+        got = fp.resolve_fp(f, 3, 0.0, 0.8, use_hook=False).value
         want = -0.6564860353907384 - 1.3819240320982290j
         assert rel(got, want) < 1e-12
 
     def test_nonsingular_equals_quadrature(self):
         # f = x^2 g with kernel k=1: plain convergent integral
         f = fm.builtin("power_gaussian", m=2, a=1.0)
-        got = fp.fp_series_finite(f, fp.FpKernel(1, 0.0, 1.5)).value
+        got = fp.resolve_fp(f, 1, 0.0, 1.5, use_hook=False).value
         want = regular_integral(lambda x: x * np.exp(-x * x), 0.0, 1.5)
         assert rel(got, want) < 1e-10
 
     def test_partial_fraction_reference(self):
         # ffp_0^{1/2} 1/(x(1+x)) = -ln 3 exactly
         f = fm.builtin("inv_linear", c=1.0)
-        got = fp.fp_series_finite(f, fp.FpKernel(1, 0.0, 0.5)).value
+        got = fp.resolve_fp(f, 1, 0.0, 0.5, use_hook=False).value
         assert rel(got, -math.log(3.0)) < 1e-12
 
     def test_split_route_beyond_radius(self):
         # a > rho0 splits at rho0/2; additivity against the direct value
         f = fm.builtin("inv_linear", c=1.0)
-        v1 = fp.fp_series_finite(f, fp.FpKernel(1, 0.0, 3.0))
+        v1 = fp.resolve_fp(f, 1, 0.0, 3.0, use_hook=False)
         assert v1.route == "split_tail"
         direct = math.log(3.0 / 4.0)   # ffp_0^3 1/(x(1+x)) = ln(a/(1+a))
         assert rel(v1.value, direct) < 1e-10
@@ -74,20 +80,20 @@ class TestSeriesFinite:
 class TestInfinite:
     def test_exp_decay_d1(self):
         f = fm.builtin("exp_decay", a=1.0)
-        got = fp.fp_infinite(f, fp.FpKernel(1, 0.5, math.inf)).value
+        got = fp.resolve_fp(f, 1, 0.5, math.inf, use_hook=False).value
         assert rel(got, -2.0 * math.sqrt(math.pi)) < 1e-11
 
     def test_fermi_d13(self):
         f = fm.builtin("fermi", a=1.0)
-        got = fp.fp_infinite(f, fp.FpKernel(1, 0.0, math.inf)).value
+        got = fp.resolve_fp(f, 1, 0.0, math.inf, use_hook=False).value
         want = math.log(math.sqrt(math.pi / 2.0)) - GAMMA_E / 2.0
         assert rel(got, want) < 1e-11
 
     def test_large_finite_upper_approaches_compact_case(self):
         # exponentially small tail: finite a ~ infinite result
         f = fm.builtin("exp_decay", a=1.0)
-        v_inf = fp.fp_infinite(f, fp.FpKernel(2, 0.3, math.inf)).value
-        v_fin = fp.fp_series_finite(f, fp.FpKernel(2, 0.3, 40.0)).value
+        v_inf = fp.resolve_fp(f, 2, 0.3, math.inf, use_hook=False).value
+        v_fin = fp.resolve_fp(f, 2, 0.3, 40.0, use_hook=False).value
         assert rel(v_fin, v_inf) < 1e-12
 
     @pytest.mark.parametrize("a,k", [(1.0426, 9), (0.7057, 7)])
@@ -111,17 +117,17 @@ class TestInfinite:
     def test_tail_not_integrable(self):
         f = fm.builtin("const")
         with pytest.raises(fp.TailNotIntegrable):
-            fp.fp_infinite(f, fp.FpKernel(1, 0.0, math.inf))
+            fp.resolve_fp(f, 1, 0.0, math.inf, use_hook=False)
 
 
 class TestExpOsc:
     def test_k0(self):
-        got = fp.fp_exp_osc(1.0, 0)
+        got = exp_osc_fp(1.0, 0)
         assert rel(got, complex(-GAMMA_E, math.pi / 2.0)) < 1e-13
 
     def test_conjugation(self):
-        got = fp.fp_exp_osc(-1.0, 0)
-        assert rel(got, fp.fp_exp_osc(1.0, 0).conjugate()) < 1e-14
+        got = exp_osc_fp(-1.0, 0)
+        assert rel(got, exp_osc_fp(1.0, 0).conjugate()) < 1e-14
 
     def test_against_finite_s_limit(self):
         # closed form equals the finite-s construction pushed to large s
@@ -133,23 +139,16 @@ class TestExpOsc:
                   for n in range(k))
         fin += (1j * a) ** k * math.log(s) / math.factorial(k)
         fin += sf.hyper_2f2_asymptotic_11(k, a, s)
-        assert rel(fp.fp_exp_osc(a, k), fin) < 1e-10
+        assert rel(exp_osc_fp(a, k), fin) < 1e-10
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            fp.fp_exp_osc(0.0, 1)
+            exp_osc_fp(0.0, 1)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_nonfinite_a_rejected(self, a):
         with pytest.raises(DomainError):
-            fp.fp_exp_osc(a, 1)
-
-    @pytest.mark.parametrize("a", [1.0, -0.7, 3.0])
-    def test_matches_hook(self, a):
-        # the public closed form and the exp_osc finite-part hook agree
-        f = fm.builtin("exp_osc", a=a)
-        for k in range(8):
-            assert rel(fp.fp_exp_osc(a, k), f.fp_hook(k + 1, 0.0, math.inf)) < 1e-14
+            exp_osc_fp(a, 1)
 
 
 class TestQuartic:
@@ -189,21 +188,23 @@ class TestQuartic:
 class TestCatalogClosedForms:
     def test_d5_log2(self):
         # psi(1) - psi(1/2) = 2 ln 2 makes the k=0, a=1 entry ln 2
-        assert rel(fp.fp_catalog("D.5", a=1.0, k=0), math.log(2.0)) < 1e-13
+        got = catalog.eval_closed_form("D.5", {"a": 1.0, "k": 0})
+        assert rel(got, math.log(2.0)) < 1e-13
 
     def test_d12_reference_structure(self):
         from fpint import specfun as sf
         want = (math.pi * (2.0 ** 1.5 - 1.0) * sf.zeta_real(-0.5)
                 / (math.sin(math.pi / 2.0) * math.gamma(1.5)))
-        assert rel(fp.fp_catalog("D.12", a=1.0, m=1, nu=0.5), want) < 1e-13
+        got = catalog.eval_closed_form("D.12", {"a": 1.0, "m": 1, "nu": 0.5})
+        assert rel(got, want) < 1e-13
 
     def test_d19_rational(self):
-        assert rel(fp.fp_catalog("D.19", a=1.0, n=1), 1.0 / 6.0) < 1e-14
+        assert rel(catalog.eval_closed_form("D.19", {"a": 1.0, "n": 1}), 1.0 / 6.0) < 1e-14
 
     def test_unknown_item(self):
         from fpint.errors import UnknownItem
         with pytest.raises(UnknownItem):
-            fp.fp_catalog("D.99")
+            catalog.eval_closed_form("D.99", {})
 
 
 class TestEpsilonOracle:
@@ -225,7 +226,7 @@ class TestEpsilonOracle:
         got = fp.fp_epsilon_oracle(lambda x: np.exp(-2.0 * x),
                                    fp.FpKernel(2, 0.25, math.inf),
                                    tail=f.tail).value
-        want = fp.fp_catalog("D.1", a=2.0, m=2, nu=0.25)
+        want = catalog.eval_closed_form("D.1", {"a": 2.0, "m": 2, "nu": 0.25})
         assert rel(got, want) < 1e-6
 
 
@@ -237,28 +238,26 @@ class TestProperties:
         for _ in range(5):
             al, be = rng.uniform(-2, 2, size=2)
             combo = fm.linear_combination(al, f, be, h)
-            kern = fp.FpKernel(2, 0.25, math.inf)
-            lhs = fp.fp_infinite(combo, kern).value
-            rhs = al * fp.fp_infinite(f, kern).value + be * fp.fp_infinite(h, kern).value
+            lhs = fp.resolve_fp(combo, 2, 0.25, math.inf, use_hook=False).value
+            rhs = (al * fp.resolve_fp(f, 2, 0.25, math.inf, use_hook=False).value
+                   + be * fp.resolve_fp(h, 2, 0.25, math.inf, use_hook=False).value)
             assert rel(lhs, rhs) < 1e-10
 
     def test_upper_limit_additivity(self):
         # ffp over [0,a] + plain integral over [a,b] = ffp over [0,b]
         f = fm.builtin("exp_decay", a=1.0)
         a_up, b_up = 0.4, 1.7
-        kern_a = fp.FpKernel(2, 0.0, a_up)
-        kern_b = fp.FpKernel(2, 0.0, b_up)
         mid = regular_integral(lambda x: np.exp(-x) / x ** 2, a_up, b_up)
-        lhs = fp.fp_series_finite(f, kern_a).value + mid
-        rhs = fp.fp_series_finite(f, kern_b).value
+        lhs = fp.resolve_fp(f, 2, 0.0, a_up, use_hook=False).value + mid
+        rhs = fp.resolve_fp(f, 2, 0.0, b_up, use_hook=False).value
         assert rel(lhs, rhs) < 1e-9
 
     def test_route_agreement_spot(self):
         # series vs closed form vs eps oracle on one table entry
         f = fm.builtin("sqrt_inv_quad", a=1.0)
         kern = fp.FpKernel(1, 0.0, math.inf)
-        series = fp.fp_infinite(f, kern).value
-        closed = fp.fp_catalog("D.5", a=1.0, k=0)
+        series = fp.resolve_fp(f, 1, 0.0, math.inf, use_hook=False).value
+        closed = catalog.eval_closed_form("D.5", {"a": 1.0, "k": 0})
         oracle = fp.fp_epsilon_oracle(f.evaluate, kern, tail=f.tail).value
         assert rel(series, closed) < 1e-5
         assert rel(oracle, closed) < 1e-5
