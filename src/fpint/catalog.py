@@ -441,9 +441,12 @@ def _c31(a, omega):
 def _c32(a, nu, omega):
     t0 = (-_PI / omega ** nu / math.tan(_PI * nu)
           / (1.0 + math.exp(a * omega)))
-    series = _sum_terms(lambda k: (a * omega) ** k * (2.0 ** (k + nu + 1.0) - 1.0)
-                        * sf.zeta_real(-k - nu)
-                        / (math.sin(_PI * (k + nu)) * math.gamma(k + nu + 1.0)))
+    # zeta(-w)/Gamma(w + 1) = -2 (2 pi)^-(w+1) sin(pi w/2) zeta(w + 1), w = k + nu,
+    # as in _c31: the factorial cancels and the terms fall like q^k, r^k
+    q, r = a * omega / _PI, a * omega / (2.0 * _PI)
+    q0, r0 = _PI ** -(nu + 1.0), (2.0 * _PI) ** -(nu + 1.0)
+    series = _sum_terms(lambda k: -sf.zeta_real(k + nu + 1.0) / math.cos(0.5 * _PI * (k + nu))
+                        * (q ** k * q0 - r ** k * r0))
     return t0 - _PI * a ** nu * series
 
 

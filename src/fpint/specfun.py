@@ -421,6 +421,9 @@ def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
 _AI0 = 0.3550280538878172392600631860041831763980             # Ai(0)
 _AIP0 = -0.2588194037928067984051835601892039634793           # Ai'(0)
 _AIRY_SPLIT = 6.0
+# -x past which the oscillatory phase (2/3)|x|^1.5 exceeds 2^53, where floats
+# are 2 or more apart: Ai, Ai' there have no correct digit and are refused
+_AIRY_PHASE_LIMIT = (1.5 * 2.0 ** 53) ** (2.0 / 3.0)
 _AIRY_DEGREE = 28
 _AIRY_TOL = 1e-18
 
@@ -491,7 +494,8 @@ def _airy_asym_pos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     about that term: 1.4e-10 relative at x = 6.001, 1e-12 at 7, and a few
     ulp (the rounding of zeta in e^-zeta) past x = 8.
     """
-    zeta = (2.0 / 3.0) * x ** 1.5
+    with np.errstate(over="ignore"):     # zeta = inf past x ~ 3e205: Ai = Ai' = 0
+        zeta = (2.0 / 3.0) * x ** 1.5
     inv = 1.0 / zeta
     last = len(_AIRY_GROWS) - np.searchsorted(_AIRY_GROWS, inv, side="left")
     s = _horner(_AIRY_UV, inv, last[None, :])
@@ -508,8 +512,7 @@ def _airy_asym_neg(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     4e-10 for Ai' at t = 6.001, and below 1e-14 past t = 8.
     """
     zeta = (2.0 / 3.0) * t ** 1.5
-    with np.errstate(over="ignore"):     # zeta^2 overflows past t ~ 1e103: inv2 = 0
-        inv2 = 1.0 / (zeta * zeta)
+    inv2 = 1.0 / (zeta * zeta)
     ce, se = np.zeros_like(t), np.zeros_like(t)
     cpe, spe = np.zeros_like(t), np.zeros_like(t)
     p = np.ones_like(t)
@@ -543,6 +546,9 @@ def _airy_pair(x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     aip = ai.copy()
     pos = (arr > _AIRY_SPLIT) & (arr < math.inf)
     neg = (arr < -_AIRY_SPLIT) & (arr > -math.inf)
+    if (arr[neg] < -_AIRY_PHASE_LIMIT).any():
+        raise DomainError(f"Ai(x) at x < -{_AIRY_PHASE_LIMIT:.3g}: its phase (2/3)|x|^1.5 "
+                          "is past 2^53 and keeps no digit in binary64")
     if mid.any():
         ai[mid], aip[mid] = _airy_series_arr(arr[mid])
     if pos.any():
@@ -659,6 +665,8 @@ def zeta_real(s: float) -> float:
     """Riemann zeta at real s != 1 (functional equation for s < -1/2)."""
     if s == 1.0:
         raise PoleError("zeta pole at s = 1")
+    if s >= 54.0:
+        return 1.0          # zeta(s) - 1 < 2^(1-s) rounds away from s = 54 on
     if s >= -0.5:
         return _zeta_em(s)
     if _is_int(s) and round(s) % 2 == 0:

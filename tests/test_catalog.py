@@ -160,6 +160,17 @@ def test_c31_past_gamma_overflow(omega):
     assert abs(got - want) < 1e-6 * abs(want)
 
 
+@pytest.mark.parametrize("omega", [2.9, 3.0, 3.1])
+def test_c32_past_gamma_overflow(omega):
+    # omega < pi/a is inside the domain, but the series needs terms past
+    # k = 170, where math.gamma(k + nu + 1) and zeta(-k - nu) overflowed
+    from fpint import funcmodel as fm
+    from fpint import pvoracle as pv
+    got = cat.eval_closed_form("C.32", {"a": 1.0, "nu": 0.5}, omega=omega)
+    want = pv.pv_transform("one_sided", fm.builtin("fermi", a=1.0), 0.5, omega, math.inf)
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
 def test_c18_past_gamma_overflow():
     # at omega/s = 0.8 the series runs past n + mu = 171, where math.gamma
     # overflows; the closed form then weights its terms in log space

@@ -237,6 +237,17 @@ class TestNonFinite:
         assert np.isnan(got[[0, 4]]).all()
         assert np.array_equal(got[1:4], [fn(7.0), fn(1.0), fn(-7.0)])
 
+    @pytest.mark.parametrize("fn", [sf.airy_ai, sf.airy_ai_prime])
+    def test_airy_far_out(self, fn):
+        # e^-zeta is 0 where zeta = (2/3) x^1.5 overflows; on the negative
+        # axis a phase past 2^53 keeps no digit, and at -1e300 it was nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn(1e250) == 0.0 and fn(1e300) == 0.0
+            for x in (-1e300, np.array([-7.0, -1e11])):
+                with pytest.raises(DomainError):
+                    fn(x)
+
     @pytest.mark.parametrize("fn", FNS)
     @pytest.mark.parametrize("x", [math.inf, -math.inf])
     def test_infinity(self, fn, x):
@@ -264,6 +275,12 @@ class TestZeta:
         # equation scales its rounding by Gamma(1 - s): 2e-18 at s = -2 and
         # 4e62 at s = -100 before the trivial zeros were read off s
         assert sf.zeta_real(-2.0 * n) == 0.0
+
+    @pytest.mark.parametrize("s", [53.0, 54.0, 60.5, 1e3, 1e11, 1e200, math.inf])
+    def test_one_past_double_precision(self, s):
+        # zeta(s) - 1 < 2^(1-s) rounds to 0 from s = 54; the Euler-Maclaurin
+        # sum gave nan past s ~ 4e10 and overflowed past s ~ 1e154
+        assert sf.zeta_real(s) == 1.0
 
     def test_zeta_prime_minus_two(self):
         want = -sf.zeta_real(3.0) / (4.0 * math.pi ** 2)
