@@ -236,7 +236,8 @@ def factor_zero(f: AnalyticFunction):
         small = np.abs(x) < 1e-4 * min(parent.rho0, 1.0)
         big = ~small
         if big.any():
-            out[big] = parent._eval(x[big]) / x[big] ** m
+            with np.errstate(over="ignore"):      # x^m = inf: f / x^m = 0
+                out[big] = parent._eval(x[big]) / x[big] ** m
         if small.any():
             coeffs = parent.coefficients(m + 25)[m:]
             out[small] = np.polyval(coeffs[::-1], x[small])
@@ -387,7 +388,7 @@ def _make_exp_osc(a: float):
 def _make_gaussian(a: float):
     _require(a > 0, "gaussian needs a > 0")
     return dict(
-        eval_fn=lambda x: np.exp(-a * x * x),
+        eval_fn=_quiet(lambda x: np.exp(-a * x * x)),
         coeff_fn=lambda n: ((-1.0) ** (n // 2)) * _pow_over_factorial(a, n // 2)
         if n % 2 == 0 else 0.0,
         rho0=math.inf, parity="even", tail=TailDecay(TAIL_EXP),
@@ -404,8 +405,12 @@ def _make_power_gaussian(m: int, a: float):
             return 0.0
         return ((-1.0) ** (j // 2)) * _pow_over_factorial(a, j // 2)
 
+    def ev(x):
+        e = np.exp(-a * x * x)
+        return np.where(e > 0.0, x ** m, 0.0) * e     # not inf * 0 where x^m overflows
+
     return dict(
-        eval_fn=lambda x: x ** m * np.exp(-a * x * x),
+        eval_fn=_quiet(ev),
         coeff_fn=coeff, rho0=math.inf,
         parity="even" if m % 2 == 0 else "odd",
         tail=TailDecay(TAIL_EXP), zero_order=m,

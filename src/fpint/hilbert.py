@@ -313,8 +313,12 @@ def evaluate_grid(variant: str, f: AnalyticFunction, omegas, nu: float = 0.0,
             (alpha, beta, log), singular = sing[i], 0.0 + 0.0j
             if alpha or beta:
                 gsum = (alpha * gpos[i] if alpha else 0.0) + (beta * gneg[i] if beta else 0.0)
-                singular = complex(gsum * omega ** m * abs(omega) ** -nu
-                                   * (math.log(abs(omega)) if log else 1.0))
+                try:
+                    singular = complex(gsum * omega ** m * abs(omega) ** -nu
+                                       * (math.log(abs(omega)) if log else 1.0))
+                except OverflowError:
+                    raise DomainError(f"singular term at omega = {omega:g}, nu = {nu:g} "
+                                      "leaves the float range") from None
             notes[i] += arm_notes
             series, used, tail = 0.0 + 0.0j, 0, 0.0
             for arm in arms:

@@ -193,9 +193,62 @@ def suite_extreme_parameters(seed: int, n_cases: int = 40):
     return len(cases), failures
 
 
+# builtins, and omega and nu at and past the edges of each kernel's domain
+EXTREME_KERNEL_FUNCS = (("exp_decay", {"a": 1.0}), ("gaussian", {"a": 1.0}),
+                        ("power_gaussian", {"m": 1, "a": 1.0}),
+                        ("power_gaussian", {"m": 2, "a": 1.0}), ("sin", {"a": 1.0}),
+                        ("exp_osc", {"a": 1.0}), ("airy", {"a": 1.0}),
+                        ("j0_squared", {"a": 1.0}), ("fermi", {"a": 1.0}))
+EXTREME_OMEGAS = (0.0, 5e-324, -5e-324, 1e-300, 1e-8, 0.5, -0.5, 1e8, -1e8,
+                  1e300, -1e300, math.inf, -math.inf, math.nan)
+EXTREME_NUS = (0.0, 1e-7, 0.5, 0.99, 0.999, 0.9995, 0.999998, 1.0 - 1e-7, 1.0,
+               -0.1, math.nan)
+
+# (builtin, parameters, variant, omega, nu): each once returned -inf or nan
+# (an endpoint integral whose x = u^p underflowed to 0, or nodes that stepped
+# over f's scale), raised a bare OverflowError (omega^m |omega|^-nu) or warned
+EXTREME_KERNEL_PROBES = [
+    ("power_gaussian", {"m": 1, "a": 1.0}, "one_sided", 0.5, 0.99),
+    ("power_gaussian", {"m": 1, "a": 1.0}, "full_line_abs", 0.5, 0.99),
+    ("power_gaussian", {"m": 2, "a": 1.0}, "sym_omega", 0.5, 0.99),
+    ("power_gaussian", {"m": 1, "a": 1.0}, "one_sided", 0.5, 0.99995),
+    ("sin", {"a": 1.0}, "full_line_branch", 0.5, 0.99),
+    ("sin", {"a": 1.0}, "one_sided", 0.5, 0.99),
+    ("exp_decay", {"a": 1.0}, "one_sided", 5e-324, 0.999998),
+    ("power_gaussian", {"m": 2, "a": 1.0}, "one_sided", 1e300, 0.0),
+    ("gaussian", {"a": 1.0}, "one_sided", 1e300, 0.5),
+    ("airy", {"a": 1.0}, "full_line_abs", 1e300, 0.5)]
+
+
+def suite_extreme_kernels(seed: int, n_cases: int = 60):
+    """Builtins on every kernel at extreme and non-finite omega and nu: each
+    transform gives a finite value or raises an FpintError."""
+    rng = np.random.RandomState(seed)
+    cases = list(EXTREME_KERNEL_PROBES)
+    while len(cases) < n_cases:
+        name, params = EXTREME_KERNEL_FUNCS[rng.randint(len(EXTREME_KERNEL_FUNCS))]
+        cases.append((name, params, hb.VARIANTS[rng.randint(len(hb.VARIANTS))],
+                      EXTREME_OMEGAS[rng.randint(len(EXTREME_OMEGAS))],
+                      EXTREME_NUS[rng.randint(len(EXTREME_NUS))]))
+    failures = []
+    for name, params, variant, omega, nu in cases:
+        tag = f"extreme kernel {name} {params} {variant} omega={omega} nu={nu}"
+        try:
+            value = hb.evaluate_transform(hb.TransformSpec(variant, omega, nu),
+                                          fm.builtin(name, **params)).value
+        except FpintError:
+            continue
+        except Exception as exc:
+            failures.append(f"{tag}: {type(exc).__name__}: {exc}")
+            continue
+        if not cmath.isfinite(value):
+            failures.append(f"{tag}: {value}")
+    return len(cases), failures
+
+
 ALL_SUITES = (suite_linearity, suite_parity_reduction,
               suite_convergent_degeneration, suite_real_in_real_out,
-              suite_report_identity, suite_extreme_parameters)
+              suite_report_identity, suite_extreme_parameters, suite_extreme_kernels)
 
 
 def run_all(seed: int = 1234):

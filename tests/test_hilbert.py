@@ -610,3 +610,26 @@ class TestPoleOnRange:
         spec = hb.TransformSpec("full_line", 1e-3, 0.0, a=2.0)
         with pytest.raises(DomainError):
             hb.small_omega_asymptotic(spec, fm.builtin("inv_linear", c=1.0))
+
+
+class TestExtremeKernelInputs:
+    @pytest.mark.parametrize("variant,m", [("one_sided", 1), ("full_line_abs", 1),
+                                           ("sym_omega", 2)])
+    def test_endpoint_power_near_one(self, variant, m):
+        # the prefix integral's x^-0.99 endpoint gave -inf at the parent
+        f = fm.builtin("power_gaussian", m=m, a=1.0)
+        got = hb.evaluate_transform(hb.TransformSpec(variant, 0.5, 0.99), f).value
+        assert rel(got, pv.pv_transform(variant, f, 0.99, 0.5, math.inf)) < 1e-10
+
+    def test_endpoint_power_past_limit_refused(self):
+        # at nu = 0.99995 the prefix integral was 74% off, with no error
+        with pytest.raises(pv.QuadratureFailure):
+            hb.one_sided(fm.builtin("power_gaussian", m=1, a=1.0), 0.99995, 0.5)
+
+    @pytest.mark.parametrize("name,kw,omega,nu", [
+        ("exp_decay", {"a": 1.0}, 5e-324, 0.999998),        # |omega|^-nu
+        ("power_gaussian", {"m": 2, "a": 1.0}, 1e300, 0.0),  # omega^m
+    ])
+    def test_singular_term_past_float_range_refused(self, name, kw, omega, nu):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            hb.one_sided(fm.builtin(name, **kw), nu, omega)

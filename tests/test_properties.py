@@ -28,3 +28,14 @@ def test_extreme_parameters_without_warnings(seed):
         n, failures = ps.suite_extreme_parameters(seed)
     assert n >= 40
     assert not failures, failures
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_extreme_kernels_without_warnings(seed):
+    # the ten fixed probes each gave -inf, nan, a bare OverflowError or a
+    # RuntimeWarning; the seeds add random omega and nu at the domain's edges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n, failures = ps.suite_extreme_kernels(seed)
+    assert n >= 60
+    assert not failures, failures

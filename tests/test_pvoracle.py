@@ -20,6 +20,19 @@ class TestRegular:
         got = pv.regular_integral(lambda x: x ** -0.5, 0.0, 1.0, endpoint_nu=0.5)
         assert rel(got, 2.0) < 1e-11
 
+    @pytest.mark.parametrize("nu", [0.99, 0.999])
+    def test_endpoint_power_near_one(self, nu):
+        # most of the mass lies where x = u^(1/(1-nu)) underflows (below
+        # u ~ 8e-4 at nu = 0.99): the integrand there was inf * 0 = nan
+        got = pv.regular_integral(lambda x: x ** -nu, 0.0, 1.0, endpoint_nu=nu)
+        assert rel(got, 1.0 / (1.0 - nu)) < 1e-11
+
+    def test_endpoint_power_past_limit_refused(self):
+        # past nu = 0.999 the panels' nodes step over f's own scale
+        with pytest.raises(pv.QuadratureFailure):
+            pv.regular_integral(lambda x: x ** -0.9999 * np.exp(-x), 0.0, 1.0,
+                                endpoint_nu=0.9999)
+
     def test_exponential(self):
         f = fm.builtin("exp_decay", a=1.0)
         got = pv.regular_integral(lambda x: np.exp(-x), 0.0, math.inf, tail=f.tail)
