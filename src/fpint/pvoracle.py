@@ -107,7 +107,6 @@ def adaptive_quad(f, a: float, b: float, budget: QuadratureBudget) -> complex:
 
 
 _ENDPOINT_FLOOR = 1e-200
-# largest endpoint power nu: past it, 1/(1-nu) > 1000
 _ENDPOINT_NU_MAX = 0.999
 
 

@@ -559,13 +559,14 @@ def _airy_pair(x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def airy_ai(x: float | np.ndarray) -> float | np.ndarray:
-    """Airy Ai(x) on the real line, 0 at +-inf; each value is its one-point value."""
+    """Airy Ai(x) on the real line, 0 at +-inf; each value is its one-point
+    value.  DomainError below x = -_AIRY_PHASE_LIMIT, where the phase is lost."""
     ai, _, scalar = _airy_pair(x)
     return float(ai[0]) if scalar else ai
 
 
 def airy_ai_prime(x: float | np.ndarray) -> float | np.ndarray:
-    """Airy Ai'(x) on the real line, 0 at +-inf."""
+    """Airy Ai'(x) on the real line, 0 at +-inf; refused as airy_ai is."""
     _, aip, scalar = _airy_pair(x)
     return float(aip[0]) if scalar else aip
 
