@@ -17,7 +17,7 @@ from .finitepart import (FpKernel, FpValue, fp_epsilon_oracle, fp_quartic,
                          resolve_fp)
 from .funcmodel import (AnalyticFunction, TailDecay, builtin, builtin_names,
                         factor_zero, from_coefficients, linear_combination,
-                        quartic_rho0, scaled)
+                        quartic_rho0)
 from .hilbert import (EvalReport, TransformSpec, evaluate_grid, evaluate_transform,
                       full_line, full_line_abs, full_line_abs_sgn,
                       full_line_branch, full_line_sgn, one_sided,

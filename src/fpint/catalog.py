@@ -671,16 +671,14 @@ def eval_closed_form(item_id: str, params: dict, omega: float | None = None) -> 
     return item.closed_form(kwargs)
 
 
-def list_items(kernel: str | None = None, function: str | None = None,
-               kind: str | None = None) -> list[dict]:
+def list_items(kernel: str | None = None, function: str | None = None) -> list[dict]:
     """The matching items in ALL_ITEMS order: C.1-C.32, then D.1-D.25."""
     return [{"id": item.item_id, "kind": item.kind, "kernel": item.kernel,
              "function": item.function_family, "description": item.description,
              "domain": item.domain, "linked_fp_items": list(item.linked_fp_items)}
             for item in ALL_ITEMS.values()
             if (not kernel or item.kernel == kernel)
-            and (not function or function.lower() in item.function_family.lower())
-            and (not kind or item.kind == kind)]
+            and (not function or function.lower() in item.function_family.lower())]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Callable, Iterable
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import catalog
 from . import hilbert as hb
-from .errors import FpintError
+from .errors import DomainError, FpintError, UnknownBuiltin
 from .finitepart import resolve_fp
 from .funcmodel import builtin, builtin_names
 from .precision import PrecisionConfig, default_precision
@@ -48,7 +49,6 @@ def parse_function(text: str):
                 params[key.strip()] = float(val)
             except ValueError as exc:
                 raise SchemaError(f"parameter {key!r} is not a number: {val!r}") from exc
-    from .errors import DomainError, UnknownBuiltin
     try:
         return builtin(name.strip(), **params)
     except (UnknownBuiltin, DomainError) as exc:
@@ -133,20 +133,29 @@ def _emit(args, payload_json: dict, csv_header: list[str],
 
 
 def _precision(args) -> PrecisionConfig:
+    overrides = {k: v for k in ("rel_tol", "max_terms")
+                 if (v := getattr(args, k)) is not None}
     try:
-        base = default_precision()
-        return base.with_overrides(rel_tol=args.rel_tol, max_terms=args.max_terms)
+        return replace(default_precision(), **overrides)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
+def _variant(args) -> str:
+    """The variant named by --variant, with '-' or '_' between its words."""
+    variant = _VARIANT_ALIASES.get(args.variant, args.variant)
+    if variant not in hb.VARIANTS:
+        raise SchemaError(f"unknown variant {args.variant!r}")
+    return variant
+
+
 def _cmd_eval_fp(args) -> int:
     f = parse_function(args.function)
-    fp = resolve_fp(f, args.k, args.nu, parse_upper(args.upper),
-                    precision=_precision(args))
+    upper = parse_upper(args.upper)
+    fp = resolve_fp(f, args.k, args.nu, upper, precision=_precision(args))
     row = {
         "function": args.function, "k": args.k, "nu": args.nu,
-        "upper": None if parse_upper(args.upper) == math.inf else parse_upper(args.upper),
+        "upper": None if upper == math.inf else upper,
         "value": _cx(fp.value), "route": fp.route,
         "terms_used": fp.terms_used, "tail_estimate": fp.tail_estimate,
     }
@@ -161,9 +170,7 @@ def _cmd_eval_fp(args) -> int:
 
 def _cmd_eval_hilbert(args) -> int:
     f = parse_function(args.function)
-    variant = _VARIANT_ALIASES.get(args.variant, args.variant)
-    if variant not in hb.VARIANTS:
-        raise SchemaError(f"unknown variant {args.variant!r}")
+    variant = _variant(args)
     precision = _precision(args)
     upper = parse_upper(args.upper)
     omegas = parse_omega(args.omega)
@@ -191,9 +198,7 @@ def _cmd_eval_hilbert(args) -> int:
 
 def _cmd_asym(args) -> int:
     f = parse_function(args.function)
-    variant = _VARIANT_ALIASES.get(args.variant, args.variant)
-    if variant not in hb.VARIANTS:
-        raise SchemaError(f"unknown variant {args.variant!r}")
+    variant = _variant(args)
     spec = hb.TransformSpec(variant, args.probe_omega, args.nu, parse_upper(args.upper))
     lead = hb.small_omega_asymptotic(spec, f)
     payload = {"command": "asym", "variant": variant, "function": args.function,

@@ -23,15 +23,10 @@ from functools import partial
 from typing import Callable, Mapping
 
 from . import specfun as sf
-from .errors import DomainError, FpintError, NoConvergence, UnknownItem
+from .errors import FpintError, NoConvergence, require
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
-
-
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
 
 
 def _psi(x: float) -> float:
@@ -40,7 +35,7 @@ def _psi(x: float) -> float:
 
 def d1(a: float, m: int, nu: float) -> float:
     """exp(-a x) against x^{-(m+nu)}."""
-    _check(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
+    require(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
     w = m + nu
     return (-1.0) ** m * math.pi / math.sin(math.pi * nu) \
         * math.exp((w - 1.0) * math.log(a) - math.lgamma(w))
@@ -48,7 +43,7 @@ def d1(a: float, m: int, nu: float) -> float:
 
 def d2(a: float, m: int, nu: float) -> complex:
     """exp(i a x) against x^{-(m+nu)}: (-ia)^{m+nu-1} Gamma(1-m-nu)."""
-    _check(a != 0 and 0 < nu < 1 and m >= 1, "need a!=0, 0<nu<1, m>=1")
+    require(a != 0 and 0 < nu < 1 and m >= 1, "need a!=0, 0<nu<1, m>=1")
     w = m + nu
     # Gamma(1-w) = (-1)^m pi / (sin(pi nu) Gamma(w)); phases split off |a|
     mag = math.exp((w - 1.0) * math.log(abs(a)) - math.lgamma(w))
@@ -67,9 +62,9 @@ def d2_log(a: float, k: int) -> complex:
 
 def d3(a: float, lam: float) -> float:
     """J0(a x)^2 against x^{-lam}, lam > 1 and not an odd integer."""
-    _check(a > 0 and lam > 1, "need a>0, lam>1")
+    require(a > 0 and lam > 1, "need a>0, lam>1")
     cosf = math.cos(0.5 * math.pi * lam)
-    _check(abs(cosf) > 1e-12, "lam must stay away from odd integers")
+    require(abs(cosf) > 1e-12, "lam must stay away from odd integers")
     return (_SQRT_PI / (2.0 * cosf)
             * math.exp((lam - 1.0) * math.log(a) + math.lgamma(0.5 * lam)
                        - 3.0 * math.lgamma(0.5 * (lam + 1.0))))
@@ -77,7 +72,7 @@ def d3(a: float, lam: float) -> float:
 
 def d4(a: float, n: int) -> float:
     """J0(a x)^2 against x^{-(2n+1)} (the logarithmic family)."""
-    _check(a > 0 and n >= 0, "need a>0, n>=0")
+    require(a > 0 and n >= 0, "need a>0, n>=0")
     ln_mag = (2.0 * n * math.log(a) + math.lgamma(n + 0.5)
               - math.lgamma(0.5) - 3.0 * math.lgamma(n + 1.0))
     return (-1.0) ** n * math.exp(ln_mag) * (
@@ -86,7 +81,7 @@ def d4(a: float, n: int) -> float:
 
 def d5(a: float, k: int) -> float:
     """1/sqrt(x^2+a^2) against x^{-(2k+1)}."""
-    _check(a > 0 and k >= 0, "need a>0, k>=0")
+    require(a > 0 and k >= 0, "need a>0, k>=0")
     ln_mag = (-(2 * k + 1) * math.log(a) + math.lgamma(k + 0.5)
               - math.lgamma(k + 1.0))
     return ((-1.0) ** k / (2.0 * _SQRT_PI) * math.exp(ln_mag)
@@ -95,7 +90,7 @@ def d5(a: float, k: int) -> float:
 
 def d6(a: float, m: int, nu: float) -> float:
     """1/sqrt(x^2+a^2) against x^{-(m+nu)}."""
-    _check(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
+    require(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
     w = m + nu
     ln_neg, sign = sf.lgamma_sign(0.5 - 0.5 * w)
     return (sign / (2.0 * _SQRT_PI)
@@ -104,15 +99,15 @@ def d6(a: float, m: int, nu: float) -> float:
 
 def d7(c: float, m: int, nu: float) -> float:
     """1/(x^3+c^3) against x^{-(m+nu)}."""
-    _check(c > 0 and 0 < nu < 1 and m >= 1, "need c>0, 0<nu<1, m>=1")
+    require(c > 0 and 0 < nu < 1 and m >= 1, "need c>0, 0<nu<1, m>=1")
     cosf = math.cos(math.pi * (2 * m + 2 * nu + 1) / 6.0)
-    _check(abs(cosf) > 1e-12, "cosine factor vanishes at this (m, nu)")
+    require(abs(cosf) > 1e-12, "cosine factor vanishes at this (m, nu)")
     return math.pi / (3.0 * cosf) * math.exp(-(m + nu + 2.0) * math.log(c))
 
 
 def d8(a: float, c: float, m: int, nu: float) -> float:
     """exp(-a x)/(x+c) against x^{-(m+nu)}."""
-    _check(a > 0 and c > 0 and 0 < nu < 1 and m >= 1, "need a,c>0, 0<nu<1, m>=1")
+    require(a > 0 and c > 0 and 0 < nu < 1 and m >= 1, "need a,c>0, 0<nu<1, m>=1")
     w = m + nu
     return ((-1.0) ** m * math.pi / math.sin(math.pi * nu)
             * sf.incomplete_gamma_q(w, a * c)
@@ -121,7 +116,7 @@ def d8(a: float, c: float, m: int, nu: float) -> float:
 
 def d9(a: float, c: float, n: int) -> float:
     """exp(-a x)/(x+c) against x^{-(n+1)} (logarithmic family)."""
-    _check(a > 0 and c > 0 and n >= 0, "need a>0, c>0, n>=0")
+    require(a > 0 and c > 0 and n >= 0, "need a>0, c>0, n>=0")
     f22 = sf.hyper_pfq([n + 1.0, n + 1.0], [n + 2.0, n + 2.0], -a * c).value.real
     # gamma(n+1, ac)/n! is the regularized P(n+1, ac)
     ln_c = math.log(c)
@@ -135,7 +130,7 @@ def d9(a: float, c: float, n: int) -> float:
 
 def d10(s: float, mu: float, n: int) -> float:
     """(s+x)^{-mu} against x^{-(n+1)}."""
-    _check(s > 0 and mu > 0 and n >= 0, "need s>0, mu>0, n>=0")
+    require(s > 0 and mu > 0 and n >= 0, "need s>0, mu>0, n>=0")
     ln_mag = (math.lgamma(n + mu) - (n + mu) * math.log(s)
               - math.lgamma(n + 1.0) - math.lgamma(mu))
     return ((-1.0) ** n * math.exp(ln_mag)
@@ -144,7 +139,7 @@ def d10(s: float, mu: float, n: int) -> float:
 
 def d11(s: float, mu: float, m: int, nu: float) -> float:
     """(s+x)^{-mu} against x^{-(m+nu)}."""
-    _check(s > 0 and mu > 0 and 0 < nu < 1 and m >= 1, "need s,mu>0, 0<nu<1, m>=1")
+    require(s > 0 and mu > 0 and 0 < nu < 1 and m >= 1, "need s,mu>0, 0<nu<1, m>=1")
     w = m + nu
     ln_mag = (math.lgamma(w + mu - 1.0) - (w + mu - 1.0) * math.log(s)
               - math.lgamma(mu) - math.lgamma(w))
@@ -153,7 +148,7 @@ def d11(s: float, mu: float, m: int, nu: float) -> float:
 
 def d12(a: float, m: int, nu: float) -> float:
     """1/(exp(a x)+1) against x^{-(m+nu)}."""
-    _check(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
+    require(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
     w = m + nu
     # zeta(1-w)/Gamma(w) = 2 (2 pi)^-w cos(pi w/2) zeta(w): all factors stay
     # representable however deep the kernel
@@ -165,13 +160,13 @@ def d12(a: float, m: int, nu: float) -> float:
 
 def d13(a: float) -> float:
     """1/(exp(a x)+1) against x^{-1}."""
-    _check(a > 0, "need a>0")
+    require(a > 0, "need a>0")
     return math.log(math.sqrt(math.pi / (2.0 * a))) - 0.5 * sf.EULER_GAMMA
 
 
 def d14(a: float, n: int) -> float:
     """1/(exp(a x)+1) against x^{-2n}."""
-    _check(a > 0 and n >= 1, "need a>0, n>=1")
+    require(a > 0 and n >= 1, "need a>0, n>=1")
     # B_2n/(2n)! = (-1)^{n+1} 2 zeta(2n)/(2 pi)^{2n} keeps every factor in range
     z2n = sf.zeta_real(2.0 * n)
     r = (-1.0) ** (n + 1) * 2.0 * z2n
@@ -187,7 +182,7 @@ def d14(a: float, n: int) -> float:
 
 def d15(a: float, n: int) -> float:
     """1/(exp(a x)+1) against x^{-(2n+1)}."""
-    _check(a > 0 and n >= 1, "need a>0, n>=1")
+    require(a > 0 and n >= 1, "need a>0, n>=1")
     # zeta'(-2n) = (-1)^n (2n)! zeta(2n+1) / (2 (2 pi)^{2n}) cancels the (2n)!
     pi2n = math.exp(-2.0 * n * math.log(math.pi))
     tpi2n = math.exp(-2.0 * n * math.log(2.0 * math.pi))
@@ -197,7 +192,7 @@ def d15(a: float, n: int) -> float:
 
 def d16(a: float, n: int) -> float:
     """Ai(-a x) against x^{-3n}."""
-    _check(a > 0 and n >= 1, "need a>0, n>=1")
+    require(a > 0 and n >= 1, "need a>0, n>=1")
     return 2.0 * (-1.0) ** n * math.exp(
         (n - 1) * math.log(3.0) + (3 * n - 1) * math.log(a)
         + math.lgamma(n + 1.0) - math.lgamma(3.0 * n + 1.0))
@@ -205,7 +200,7 @@ def d16(a: float, n: int) -> float:
 
 def d17(a: float, n: int) -> float:
     """Ai(-a x) against x^{-(3n-1)}."""
-    _check(a > 0 and n >= 1, "need a>0, n>=1")
+    require(a > 0 and n >= 1, "need a>0, n>=1")
     return ((-1.0) ** n * 3.0 ** (-2 * n - 1.0 / 3.0) * a ** (3 * n - 2)
             / (math.gamma(n) * math.gamma(n + 1.0 / 3.0))
             * (math.log(a ** 3 / 9.0) + 2.0 * _SQRT3 * math.pi / 3.0
@@ -214,7 +209,7 @@ def d17(a: float, n: int) -> float:
 
 def d18(a: float, n: int) -> float:
     """Ai(-a x) against x^{-(3n-2)}."""
-    _check(a > 0 and n >= 1, "need a>0, n>=1")
+    require(a > 0 and n >= 1, "need a>0, n>=1")
     return ((-1.0) ** n * 3.0 ** (-2 * n + 1.0 / 3.0) * a ** (3 * n - 3)
             / (math.gamma(n) * math.gamma(n - 1.0 / 3.0))
             * (math.log(a ** 3 / 9.0) - 2.0 * _SQRT3 * math.pi / 3.0
@@ -223,14 +218,14 @@ def d18(a: float, n: int) -> float:
 
 def d19(a: float, n: int) -> float:
     """Ai(a x) against x^{-3n}."""
-    _check(a > 0 and n >= 1, "need a>0, n>=1")
+    require(a > 0 and n >= 1, "need a>0, n>=1")
     return math.exp((n - 1) * math.log(3.0) + (3 * n - 1) * math.log(a)
                     + math.lgamma(n + 1.0) - math.lgamma(3.0 * n + 1.0))
 
 
 def d20(a: float, n: int) -> float:
     """Ai(a x) against x^{-(3n-1)}."""
-    _check(a > 0 and n >= 1, "need a>0, n>=1")
+    require(a > 0 and n >= 1, "need a>0, n>=1")
     return (3.0 ** (-2 * n - 1.0 / 3.0) * a ** (3 * n - 2)
             / (math.gamma(n) * math.gamma(n + 1.0 / 3.0))
             * (math.log(a ** 3 / 9.0) - _SQRT3 * math.pi / 3.0
@@ -239,7 +234,7 @@ def d20(a: float, n: int) -> float:
 
 def d21(a: float, n: int) -> float:
     """Ai(a x) against x^{-(3n-2)}."""
-    _check(a > 0 and n >= 1, "need a>0, n>=1")
+    require(a > 0 and n >= 1, "need a>0, n>=1")
     return (-3.0 ** (-2 * n + 1.0 / 3.0) * a ** (3 * n - 3)
             / (math.gamma(n) * math.gamma(n - 1.0 / 3.0))
             * (math.log(a ** 3 / 9.0) + _SQRT3 * math.pi / 3.0
@@ -248,7 +243,7 @@ def d21(a: float, n: int) -> float:
 
 def d22(a: float, m: int, nu: float) -> float:
     """Ai(a x) against x^{-(m+nu)}."""
-    _check(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
+    require(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
     w = m + nu
     return (math.pi * 3.0 ** (-(3.0 + 4.0 * w) / 6.0) * a ** (w - 1.0) / 2.0
             / (math.sin(math.pi * (1.0 - w) / 3.0) * math.sin(math.pi * (1.0 + w) / 3.0))
@@ -257,7 +252,7 @@ def d22(a: float, m: int, nu: float) -> float:
 
 def d23(a: float, m: int, nu: float) -> float:
     """Ai(-a x) against x^{-(m+nu)}."""
-    _check(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
+    require(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
     w = m + nu
     return (math.pi * 3.0 ** (-(3.0 + 4.0 * w) / 6.0) * a ** (w - 1.0)
             * math.cos(math.pi * w / 3.0)
@@ -267,7 +262,7 @@ def d23(a: float, m: int, nu: float) -> float:
 
 def d24(a: float, n: int) -> float:
     """Ai(a x) Ai'(a x) against x^{-(n+1)}."""
-    _check(a > 0 and n >= 0, "need a>0, n>=0")
+    require(a > 0 and n >= 0, "need a>0, n>=0")
     ln_mag = (-(3.0 - 2.0 * n) / 3.0 * math.log(2.0)
               - (9.0 - 2.0 * n) / 6.0 * math.log(3.0)
               + n * math.log(a) + math.lgamma((3.0 + 2.0 * n) / 6.0)
@@ -280,7 +275,7 @@ def d24(a: float, n: int) -> float:
 
 def d25(a: float, m: int, nu: float) -> float:
     """Ai(a x) Ai'(a x) against x^{-(m+nu)}."""
-    _check(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
+    require(a > 0 and 0 < nu < 1 and m >= 1, "need a>0, 0<nu<1, m>=1")
     w = m + nu
     return (-(12.0 ** (-(5.0 - 2.0 * w) / 6.0)) / _SQRT_PI * a ** (w - 1.0)
             / math.sin(math.pi * w) / math.gamma(w)
@@ -383,13 +378,6 @@ D_ITEMS: dict[str, DItem] = {row.item_id: row for row in [
     DItem("D.25", "Ai(ax) Ai'(ax) / x^(m+nu)", "a>0, 0<nu<1, m>=1", d25, "airy_prod",
           {"a": (0.6, 1.5), "m": (1, 2), "nu": _NU}),
 ]}
-
-
-def get_item(item_id: str) -> DItem:
-    try:
-        return D_ITEMS[item_id]
-    except KeyError:
-        raise UnknownItem(f"no finite-part table entry {item_id!r}") from None
 
 
 # ---------------------------------------------------------------------------

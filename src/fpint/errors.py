@@ -11,6 +11,12 @@ class DomainError(FpintError, ValueError):
     """Arguments outside the mathematical domain of an operation."""
 
 
+def require(cond: bool, msg: str) -> None:
+    """Raise DomainError(msg) unless cond holds."""
+    if not cond:
+        raise DomainError(msg)
+
+
 class PoleError(DomainError):
     """Evaluation requested exactly at a pole (e.g. gamma at 0, -1, -2, ...)."""
 

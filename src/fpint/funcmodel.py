@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dtable
 from .errors import (AllZeroError, ConsistencyError, DomainError, NoConvergence,
-                     UnknownBuiltin)
+                     UnknownBuiltin, require)
 
 # Tail-decay kinds
 TAIL_EXP = "exponential"        # falls faster than any power
@@ -63,10 +63,6 @@ class TailDecay:
         return False
 
 
-def tail_none() -> TailDecay:
-    return TailDecay(TAIL_NONE)
-
-
 class AnalyticFunction:
     """Function known through a point evaluator plus its Maclaurin stream."""
 
@@ -89,9 +85,9 @@ class AnalyticFunction:
         self._coeff_fn = coeff_fn
         self.rho0 = float(rho0)
         self.parity = parity
-        self.tail = tail or tail_none()
+        self.tail = tail or TailDecay()
         self.tail_neg = tail_neg if tail_neg is not None else (
-            self.tail if parity in ("even", "odd") else tail_none())
+            self.tail if parity in ("even", "odd") else TailDecay())
         self._zero_order = zero_order
         self.fp_hook = fp_hook
         self.params = dict(params or {})
@@ -172,9 +168,6 @@ class AnalyticFunction:
             zero_order=parent._zero_order,
         )
 
-    def safe_radius(self) -> float:
-        return self.rho0 / 2.0 if math.isfinite(self.rho0) else 1.0
-
 
 def from_coefficients(coeffs: Sequence[complex] | Callable[[int], complex],
                       evaluator: Callable,
@@ -209,7 +202,7 @@ def from_coefficients(coeffs: Sequence[complex] | Callable[[int], complex],
 
 def _consistency_probe(f: AnalyticFunction, n_terms: int = 40,
                        rel_tol: float = 1e-8) -> None:
-    r = min(f.safe_radius(), 1.0)
+    r = min(f.rho0 / 2.0, 1.0)
     coeffs = f.coefficients(n_terms)
     scale = max(float(np.max(np.abs(coeffs))), 1e-300)
     for x in np.linspace(0.1 * r, r, 5):
@@ -266,22 +259,6 @@ def factor_zero(f: AnalyticFunction):
     return m, g
 
 
-def scaled(f: AnalyticFunction, c: complex) -> AnalyticFunction:
-    """c * f as an AnalyticFunction (tails unchanged, hook scaled)."""
-    hook = None
-    if f.fp_hook is not None:
-        def hook(k, nu, upper):
-            v = f.fp_hook(k, nu, upper)
-            return None if v is None else c * v
-
-    return AnalyticFunction(
-        f"{c}*{f.name}", lambda x: c * f._eval(x),
-        lambda n: c * f.maclaurin(n), f.rho0, parity=f.parity,
-        tail=f.tail, tail_neg=f.tail_neg, zero_order=f._zero_order,
-        fp_hook=hook,
-    )
-
-
 def linear_combination(alpha: complex, f: AnalyticFunction,
                        beta: complex, h: AnalyticFunction) -> AnalyticFunction:
     """alpha*f + beta*h as an AnalyticFunction (property-test helper)."""
@@ -295,7 +272,7 @@ def linear_combination(alpha: complex, f: AnalyticFunction,
 
     def combine(t1: TailDecay, t2: TailDecay) -> TailDecay:
         if t1.kind != t2.kind:
-            return tail_none()
+            return TailDecay()
         if t1.kind in (TAIL_ALG, TAIL_OSC_ALG):
             return replace(t1, power=min(t1.power or 0.0, t2.power or 0.0))
         return t1
@@ -342,11 +319,6 @@ def _airy_base_coeff(n: int, _cache: list = [0.355028053887817239260063186004183
     return _cache[n]
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
 def _quiet(eval_fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """eval_fn without numpy's warnings at a pole or past the float range."""
     def ev(x):
@@ -365,17 +337,17 @@ def _make_const(c: float = 1.0):
 
 
 def _make_exp_decay(a: float):
-    _require(a > 0, "exp_decay needs a > 0")
+    require(a > 0, "exp_decay needs a > 0")
     return dict(
         eval_fn=_quiet(lambda x: np.exp(-a * x)),
         coeff_fn=lambda n: ((-1.0) ** n) * _pow_over_factorial(a, n),
         rho0=math.inf, parity="none",
-        tail=TailDecay(TAIL_EXP), tail_neg=tail_none(),
+        tail=TailDecay(TAIL_EXP), tail_neg=TailDecay(),
     )
 
 
 def _make_exp_osc(a: float):
-    _require(a != 0, "exp_osc needs a != 0")
+    require(a != 0, "exp_osc needs a != 0")
     return dict(
         eval_fn=lambda x: np.exp(1j * a * x),
         coeff_fn=lambda n: (1j ** (n % 4)) * _pow_over_factorial(a, n),
@@ -386,7 +358,7 @@ def _make_exp_osc(a: float):
 
 
 def _make_gaussian(a: float):
-    _require(a > 0, "gaussian needs a > 0")
+    require(a > 0, "gaussian needs a > 0")
     return dict(
         eval_fn=_quiet(lambda x: np.exp(-a * x * x)),
         coeff_fn=lambda n: ((-1.0) ** (n // 2)) * _pow_over_factorial(a, n // 2)
@@ -396,7 +368,7 @@ def _make_gaussian(a: float):
 
 
 def _make_power_gaussian(m: int, a: float):
-    _require(a > 0 and m >= 0 and int(m) == m, "power_gaussian needs a > 0, integer m >= 0")
+    require(a > 0 and m >= 0 and int(m) == m, "power_gaussian needs a > 0, integer m >= 0")
     m = int(m)
 
     def coeff(n: int):
@@ -418,7 +390,7 @@ def _make_power_gaussian(m: int, a: float):
 
 
 def _make_sin(a: float = 1.0):
-    _require(a != 0, "sin needs a != 0")
+    require(a != 0, "sin needs a != 0")
     return dict(
         eval_fn=lambda x: np.sin(a * x),
         coeff_fn=lambda n: ((-1.0) ** ((n - 1) // 2)) * _pow_over_factorial(a, n)
@@ -430,7 +402,7 @@ def _make_sin(a: float = 1.0):
 
 
 def _make_j0_squared(a: float):
-    _require(a > 0, "j0_squared needs a > 0")
+    require(a > 0, "j0_squared needs a > 0")
     from .specfun import bessel_j0
 
     def coeff(n: int):
@@ -450,7 +422,7 @@ def _make_j0_squared(a: float):
 
 
 def _make_sqrt_inv_quad(a: float):
-    _require(a > 0, "sqrt_inv_quad needs a > 0")
+    require(a > 0, "sqrt_inv_quad needs a > 0")
 
     def coeff(n: int):
         if n % 2 != 0:
@@ -468,18 +440,18 @@ def _make_sqrt_inv_quad(a: float):
 
 
 def _make_inv_cubic(c: float):
-    _require(c > 0, "inv_cubic needs c > 0")
+    require(c > 0, "inv_cubic needs c > 0")
     c3 = c ** 3                 # OverflowError here: builtin() refuses c
     return dict(
         eval_fn=_quiet(lambda x: 1.0 / (c3 + x ** 3)),
         coeff_fn=lambda n: ((-1.0) ** (n // 3)) * c ** (-3.0 - n) if n % 3 == 0 else 0.0,
         rho0=c, parity="none",
-        tail=TailDecay(TAIL_ALG, power=3.0), tail_neg=tail_none(),
+        tail=TailDecay(TAIL_ALG, power=3.0), tail_neg=TailDecay(),
     )
 
 
 def _make_inv_power_shift(s: float, mu: float):
-    _require(s > 0 and mu > 0, "inv_power_shift needs s > 0, mu > 0")
+    require(s > 0 and mu > 0, "inv_power_shift needs s > 0, mu > 0")
 
     def coeff(n: int):
         ln_mag = (math.lgamma(mu + n) - math.lgamma(mu) - math.lgamma(n + 1.0)
@@ -489,7 +461,7 @@ def _make_inv_power_shift(s: float, mu: float):
     return dict(
         eval_fn=lambda x: (s + x) ** (-mu),
         coeff_fn=coeff, rho0=s, parity="none",
-        tail=TailDecay(TAIL_ALG, power=mu), tail_neg=tail_none(),
+        tail=TailDecay(TAIL_ALG, power=mu), tail_neg=TailDecay(),
     )
 
 
@@ -500,7 +472,7 @@ def _make_inv_linear(c: float):
 
 
 def _make_exp_decay_shift(a: float, c: float):
-    _require(a > 0 and c > 0, "exp_decay_shift needs a > 0, c > 0")
+    require(a > 0 and c > 0, "exp_decay_shift needs a > 0, c > 0")
     partials: list[float] = [1.0]          # running sum of (ac)^j / j!
 
     def coeff(n: int):
@@ -512,12 +484,12 @@ def _make_exp_decay_shift(a: float, c: float):
     return dict(
         eval_fn=_quiet(lambda x: np.exp(-a * x) / (x + c)),
         coeff_fn=coeff, rho0=c, parity="none",
-        tail=TailDecay(TAIL_EXP), tail_neg=tail_none(),
+        tail=TailDecay(TAIL_EXP), tail_neg=TailDecay(),
     )
 
 
 def _make_fermi(a: float):
-    _require(a > 0, "fermi needs a > 0")
+    require(a > 0, "fermi needs a > 0")
     from .specfun import zeta_real
 
     def coeff(n: int):
@@ -544,12 +516,12 @@ def _make_fermi(a: float):
 
     return dict(
         eval_fn=ev, coeff_fn=coeff, rho0=math.pi / a, parity="none",
-        tail=TailDecay(TAIL_EXP), tail_neg=tail_none(),
+        tail=TailDecay(TAIL_EXP), tail_neg=TailDecay(),
     )
 
 
 def _make_airy(a: float, negated: bool = False):
-    _require(a > 0, "airy needs a > 0")
+    require(a > 0, "airy needs a > 0")
     from .specfun import airy_ai
     sgn = -1.0 if negated else 1.0
     osc = TailDecay(TAIL_OSC_ALG, power=0.25,
@@ -564,7 +536,7 @@ def _make_airy(a: float, negated: bool = False):
 
 
 def _make_airy_prod(a: float):
-    _require(a > 0, "airy_prod needs a > 0")
+    require(a > 0, "airy_prod needs a > 0")
     from .specfun import airy_ai, airy_ai_prime
 
     def coeff(n: int):
@@ -596,7 +568,7 @@ def quartic_rho0(beta: float, omega_j: float) -> float:
 
 
 def _make_rational_quartic(beta: float, omega_j: float):
-    _require(beta < 1.0 and omega_j > 0, "rational_quartic needs beta < 1, omega_j > 0")
+    require(beta < 1.0 and omega_j > 0, "rational_quartic needs beta < 1, omega_j > 0")
     w2 = omega_j * omega_j
     w4 = w2 * w2
     ps: list[float] = [1.0 / w4, 2.0 * beta / (w4 * w2)]

@@ -49,13 +49,6 @@ class PrecisionConfig:
         if self.max_terms < 32:
             raise ValueError("max_terms must be at least 32")
 
-    def with_overrides(self, rel_tol: float | None = None,
-                       max_terms: int | None = None) -> "PrecisionConfig":
-        return PrecisionConfig(
-            rel_tol=self.rel_tol if rel_tol is None else rel_tol,
-            max_terms=self.max_terms if max_terms is None else max_terms,
-        )
-
 
 def default_precision() -> PrecisionConfig:
     """Default config; FPINT_PRECISION overrides rel_tol when set."""

@@ -6,7 +6,7 @@ regularized incomplete gamma (series / continued fraction; the upper one
 takes a complex second argument), generalized hypergeometric pFq by
 term-ratio recurrence with compensated summation, the large-argument form of
 the coincident-parameter 2F2, Bessel J0, Airy Ai / Ai', modified Bessel
-I_{+-1/3}, and real zeta / zeta' including negative arguments.
+I_{+-1/3}, and real zeta / zeta' for s >= -1/2.
 
 J0 and Ai / Ai' are Horner kernels on coefficient tables built at import:
 J0 by its Maclaurin series for |x| <= 12.5 and its Hankel expansion beyond
@@ -662,44 +662,22 @@ def _zeta_em(s: float, want_derivative: bool = False) -> float:
     return dtotal if want_derivative else total
 
 
-def zeta_real(s: float) -> float:
-    """Riemann zeta at real s != 1 (functional equation for s < -1/2)."""
+def _zeta_domain(s: float) -> None:
     if s == 1.0:
         raise PoleError("zeta pole at s = 1")
+    if not s >= -0.5:           # nan too
+        raise DomainError(f"zeta at s = {s}: only s >= -1/2 is computed")
+
+
+def zeta_real(s: float) -> float:
+    """Riemann zeta at real s >= -1/2, s != 1 (DomainError below -1/2)."""
+    _zeta_domain(s)
     if s >= 54.0:
         return 1.0          # zeta(s) - 1 < 2^(1-s) rounds away from s = 54 on
-    if s >= -0.5:
-        return _zeta_em(s)
-    if _is_int(s) and round(s) % 2 == 0:
-        return 0.0          # the trivial zeros, where sin(pi s / 2) does not round to 0
-    sin_factor = math.sin(0.5 * math.pi * s)
-    zr = _zeta_em(1.0 - s)
-    ln_mag = (s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
-              + math.lgamma(1.0 - s) + math.log(abs(sin_factor)) + math.log(abs(zr)))
-    return math.copysign(math.exp(ln_mag), sin_factor * zr)
+    return _zeta_em(s)
 
 
 def zeta_prime_real(s: float) -> float:
-    """zeta'(s) at real s != 1."""
-    if s == 1.0:
-        raise PoleError("zeta pole at s = 1")
-    if s >= -0.5:
-        return _zeta_em(s, want_derivative=True)
-    if _is_int(s) and round(s) % 2 == 0:
-        # negative even: zeta(s) = 0; spec-form derivative
-        return zeta_prime_at_negative_even(int(round(-s)) // 2)
-    z = zeta_real(s)
-    zs = _zeta_em(1.0 - s)
-    dzs = _zeta_em(1.0 - s, want_derivative=True)
-    log_deriv = (math.log(2.0 * math.pi)
-                 + 0.5 * math.pi / math.tan(0.5 * math.pi * s)
-                 - digamma(1.0 - s).real - dzs / zs)
-    return z * log_deriv
-
-
-def zeta_prime_at_negative_even(n: int) -> float:
-    """zeta'(-2n) = (-1)^n (2n)! zeta(2n+1) / (2 (2 pi)^{2n}), n >= 1."""
-    if n < 1:
-        raise DomainError("zeta_prime_at_negative_even expects n >= 1")
-    return ((-1.0) ** n * math.factorial(2 * n) * _zeta_em(2.0 * n + 1.0)
-            / (2.0 * (2.0 * math.pi) ** (2 * n)))
+    """zeta'(s) at real s >= -1/2, s != 1 (DomainError below -1/2)."""
+    _zeta_domain(s)
+    return _zeta_em(s, want_derivative=True)

@@ -160,7 +160,7 @@ class TestFactorZero:
 class TestFromCoefficients:
     def test_constant(self):
         f = fm.from_coefficients([1.0], lambda x: 1.0, rho0=math.inf,
-                                 tail_decay=fm.tail_none())
+                                 tail_decay=fm.TailDecay())
         assert complex(f.evaluate(0.3)) == 1.0
         assert f.maclaurin(0) == 1.0 and f.maclaurin(5) == 0.0
 
@@ -211,19 +211,13 @@ def test_linear_combination():
     assert combo.maclaurin(0) == 2.0 - 0.5
 
 
-def test_scaled_keeps_hook():
-    f = fm.builtin("exp_decay", a=1.0)
-    g = fm.scaled(f, 3.0)
-    assert abs(g.fp_hook(1, 0.5, math.inf) - 3.0 * f.fp_hook(1, 0.5, math.inf)) < 1e-14
-
-
 def test_tail_over_power():
     alg = fm.TailDecay(fm.TAIL_ALG, power=1.0)
     assert alg.over_power(2.5) == fm.TailDecay(fm.TAIL_ALG, power=3.5)
     osc = fm.builtin("j0_squared", a=2.0).tail
     assert osc.over_power(1.0) == fm.TailDecay(fm.TAIL_OSC_ALG, power=2.0,
                                                phase_coeff=4.0, phase_power=1.0)
-    for t in (fm.TailDecay(fm.TAIL_EXP), fm.tail_none()):
+    for t in (fm.TailDecay(fm.TAIL_EXP), fm.TailDecay()):
         assert t.over_power(3.0) is t
     # x^m g = f: g's tail is f's over x^m
     f = fm.builtin("sin", a=1.0)

@@ -234,7 +234,7 @@ class TestTails:
 
     def test_tail_undeclared(self):
         with pytest.raises(pv.TailNotIntegrable):
-            pv.tail_integral(lambda x: 1.0 / x, 1.0, fm.tail_none(), B)
+            pv.tail_integral(lambda x: 1.0 / x, 1.0, fm.TailDecay(), B)
 
     @pytest.mark.parametrize("tail", [fm.TailDecay(fm.TAIL_ALG, power=0.5).over_power(0.5),
                                       fm.TailDecay(fm.TAIL_OSC_ALG, power=0.0,

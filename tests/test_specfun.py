@@ -259,22 +259,38 @@ class TestNonFinite:
         assert np.array_equal(got[1:], [fn(7.0), fn(-7.0), fn(1.0), fn(13.0)])
 
 
+def _assert_refused(s):
+    for fn in (sf.zeta_real, sf.zeta_prime_real):
+        with pytest.raises(DomainError):
+            fn(s)
+
+
 class TestZeta:
     def test_at_zero(self):
         assert sf.zeta_real(0.0) == -0.5
 
+    # zeta and zeta' are computed on [-1/2, inf] minus the pole; the library
+    # needs them only at s > 1, and below -1/2 they raise DomainError
+    # (a functional-equation branch that only its tests reached is gone)
     def test_at_minus_one(self):
-        assert rel(sf.zeta_real(-1.0), -1.0 / 12.0) < 1e-15
+        _assert_refused(-1.0)
 
     def test_trivial_zero(self):
-        assert sf.zeta_real(-2.0) == 0.0
+        _assert_refused(-2.0)
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50, 150])
     def test_trivial_zeros_are_exact(self, n):
-        # sin(pi s / 2) does not round to 0 at s = -2n, and the functional
-        # equation scales its rounding by Gamma(1 - s): 2e-18 at s = -2 and
-        # 4e62 at s = -100 before the trivial zeros were read off s
-        assert sf.zeta_real(-2.0 * n) == 0.0
+        # no rounded nonzero at s = -2n: the trivial zeros are refused
+        _assert_refused(-2.0 * n)
+
+    @pytest.mark.parametrize("s", [-0.5000001, -1e300, -math.inf, math.nan])
+    def test_refused_below_minus_half(self, s):
+        _assert_refused(s)
+
+    def test_minus_half_answers(self):
+        # the lower edge of the domain, against mpmath, as TestZetaKernel
+        assert rel(sf.zeta_real(-0.5), -0.20788622497735456602) < 1e-12
+        assert rel(sf.zeta_prime_real(-0.5), -0.36085433959994760735) < 1e-12
 
     @pytest.mark.parametrize("s", [53.0, 54.0, 60.5, 1e3, 1e11, 1e200, math.inf])
     def test_one_past_double_precision(self, s):
@@ -283,9 +299,9 @@ class TestZeta:
         assert sf.zeta_real(s) == 1.0
 
     def test_zeta_prime_minus_two(self):
-        want = -sf.zeta_real(3.0) / (4.0 * math.pi ** 2)
-        assert rel(sf.zeta_prime_at_negative_even(1), want) < 1e-13
-        assert rel(sf.zeta_prime_at_negative_even(1), -0.030448457058393270780) < 1e-12
+        # zeta'(-2n) had a closed form of its own; it is below the domain
+        with pytest.raises(DomainError):
+            sf.zeta_prime_real(-2.0)
 
     @pytest.mark.parametrize("s,want", [
         (-1.75, -0.0099013776236705474039),
@@ -293,7 +309,10 @@ class TestZeta:
         (-40.5, -5530487585144642.2594),
     ])
     def test_real_values(self, s, want):
-        assert rel(sf.zeta_real(s), want) < 1e-12
+        if s < -0.5:
+            _assert_refused(s)
+        else:
+            assert rel(sf.zeta_real(s), want) < 1e-12
 
     @pytest.mark.parametrize("s,want", [
         (-1.0, -0.16542114370045092921),
@@ -301,7 +320,10 @@ class TestZeta:
         (-40.5, 19060914565784851.336),
     ])
     def test_prime_values(self, s, want):
-        assert rel(sf.zeta_prime_real(s), want) < 1e-11
+        if s < -0.5:
+            _assert_refused(s)
+        else:
+            assert rel(sf.zeta_prime_real(s), want) < 1e-11
 
     def test_bernoulli(self):
         assert rel(float(sf._BERNOULLI[2]), 1.0 / 6.0) < 1e-15
@@ -423,6 +445,9 @@ class TestZetaKernel:
 
     @pytest.mark.parametrize("s", S)
     def test_against_mpmath(self, s):
+        if s < -0.5:
+            _assert_refused(s)
+            return
         import mpmath as mp
         with mp.workdps(30):
             z, zp = float(mp.zeta(s)), float(mp.zeta(s, derivative=1))
