@@ -133,8 +133,10 @@ def _emit(args, payload_json: dict, csv_header: list[str],
 
 
 def _precision(args) -> PrecisionConfig:
+    """FPINT_PRECISION's config with --rel-tol / --max-terms on it; a
+    malformed value of any of them is a schema error (exit 2)."""
     overrides = {k: v for k in ("rel_tol", "max_terms")
-                 if (v := getattr(args, k)) is not None}
+                 if (v := getattr(args, k, None)) is not None}
     try:
         return replace(default_precision(), **overrides)
     except ValueError as exc:
@@ -152,7 +154,7 @@ def _variant(args) -> str:
 def _cmd_eval_fp(args) -> int:
     f = parse_function(args.function)
     upper = parse_upper(args.upper)
-    fp = resolve_fp(f, args.k, args.nu, upper, precision=_precision(args))
+    fp = resolve_fp(f, args.k, args.nu, upper, precision=args.precision)
     row = {
         "function": args.function, "k": args.k, "nu": args.nu,
         "upper": None if upper == math.inf else upper,
@@ -171,10 +173,9 @@ def _cmd_eval_fp(args) -> int:
 def _cmd_eval_hilbert(args) -> int:
     f = parse_function(args.function)
     variant = _variant(args)
-    precision = _precision(args)
     upper = parse_upper(args.upper)
     omegas = parse_omega(args.omega)
-    reports = hb.evaluate_grid(variant, f, omegas, args.nu, upper, precision=precision)
+    reports = hb.evaluate_grid(variant, f, omegas, args.nu, upper, precision=args.precision)
     rows = list(zip(omegas, reports))
     results = [{
         "omega": omega, "value": _cx(rep.value),
@@ -228,8 +229,9 @@ def _cmd_verify(args) -> int:
         "samples": [{
             "params": s.params, "closed_form": _cx(s.closed),
             "theorem_route": _cx(s.theorem), "oracle": _cx(s.oracle),
-            "max_pairwise_rel": s.max_pairwise_rel, "passed": s.passed,
-            "error": s.error,
+            # null, not Infinity, where the sample failed before the comparison
+            "max_pairwise_rel": s.max_pairwise_rel if s.max_pairwise_rel < math.inf else None,
+            "passed": s.passed, "error": s.error,
         } for s in r.samples],
     } for r in reports]}
     _emit(args, payload,
@@ -334,9 +336,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _apply_job_file(args: argparse.Namespace) -> None:
+# namespace entries that set_defaults adds and no flag sets
+_NOT_OPTIONS = {"command", "func", "required_fields"}
+
+
+def _with_job_file(argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
+    """args with the job file's fields applied.  The fields are parsed as
+    flags put between the subcommand and the command line's own flags, so a
+    field overrides a default and a flag given on the command line overrides
+    the field (argparse keeps an option's last value).  Without --job, args
+    is returned as parsed."""
     if not args.job:
-        return
+        return args
     try:
         with open(args.job, "r", encoding="utf-8") as handle:
             job = json.load(handle)
@@ -344,12 +355,16 @@ def _apply_job_file(args: argparse.Namespace) -> None:
         raise SchemaError(f"cannot read job file {args.job}: {exc}") from exc
     if not isinstance(job, dict):
         raise SchemaError("job file must hold a JSON object")
+    flags = []
     for key, value in job.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in _NOT_OPTIONS or not hasattr(args, attr):
             raise SchemaError(f"job file field {key!r} is not a known option")
-        if getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
+        if value is True:
+            flags.append("--" + attr.replace("_", "-"))
+        elif value is not False and value is not None:
+            flags.append(f"--{attr.replace('_', '-')}={value}")
+    return _parser().parse_args([argv[0], *flags, *argv[1:]])
 
 
 def _attach_negative_omega(argv: list[str]) -> list[str]:
@@ -368,12 +383,14 @@ def _attach_negative_omega(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(_attach_negative_omega(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_omega(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(argv)
     try:
-        _apply_job_file(args)
+        args = _with_job_file(argv, args)
         for field in getattr(args, "required_fields", ()):
             if getattr(args, field) is None:
                 raise SchemaError(f"missing required option --{field.replace('_', '-')}")
+        args.precision = _precision(args)
         return args.func(args)
     except SchemaError as exc:
         print(f"fpint: schema error: {exc}", file=sys.stderr)

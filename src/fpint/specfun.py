@@ -344,6 +344,9 @@ def _horner(coef: np.ndarray, t: np.ndarray, last: np.ndarray | None = None) -> 
 
 _J0_SPLIT = 12.5
 _J0_TOL = 1e-17
+# x past which the Hankel phase x - pi/4 keeps no digit: floats are 2 or
+# more apart there, and J0 is refused as Ai, Ai' are past their phase limit
+_J0_PHASE_LIMIT = 2.0 ** 53
 
 
 def _j0_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -403,7 +406,7 @@ def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
     sums' smallest term (about e^{-2x}); against mpmath the error is below
     5e-12 of the envelope min(1, sqrt(2/(pi x))) on [0, 40], largest near
     the crossover, and below 3e-15 of it past x = 20.  J0(+-inf) = 0, and
-    nan gives nan.
+    nan gives nan; DomainError for 2^53 < |x| < inf, where the phase is lost.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
@@ -414,7 +417,11 @@ def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
     if small.any():
         out[small] = _j0_series_arr(arr[small])
     if large.any():
-        out[large] = _j0_asym_arr(arr[large])
+        far = arr[large]
+        if far.max() > _J0_PHASE_LIMIT:
+            raise DomainError(f"J0(x) at |x| > 2^53: its phase x - pi/4 keeps no digit "
+                              "in binary64")
+        out[large] = _j0_asym_arr(far)
     return float(out[0]) if scalar else out
 
 
@@ -680,4 +687,9 @@ def zeta_real(s: float) -> float:
 def zeta_prime_real(s: float) -> float:
     """zeta'(s) at real s >= -1/2, s != 1 (DomainError below -1/2)."""
     _zeta_domain(s)
+    if s >= 100.0:
+        # -ln 3 3^-s - ln 4 4^-s - ... is below half an ulp of -ln 2 2^-s: the
+        # Euler-Maclaurin sum gives this term bit for bit up to s ~ 4e10 and
+        # nan past it; -0.0 once 2^-s underflows
+        return -(math.log(2.0) * 2.0 ** -s)
     return _zeta_em(s, want_derivative=True)

@@ -347,6 +347,23 @@ def test_console_entry_point_subprocess(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval-fp", "--function", "exp_decay:a=1", "--k", "2", "--nu", "0.25"],
+    ["eval-hilbert", "--variant", "one-sided", "--function", "exp_decay:a=1",
+     "--omega", "0.3"],
+    ["asym", "--variant", "one-sided", "--function", "exp_decay:a=1"],
+    ["verify", "--items", "C.1*"],
+    ["list"],
+])
+def test_malformed_env_precision_is_schema_error(capsys, monkeypatch, argv):
+    # read once, up front: not a traceback (asym) nor a ValueError recorded
+    # in every verify sample (exit 3)
+    monkeypatch.setenv("FPINT_PRECISION", "garbage")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "FPINT_PRECISION" in err and "Traceback" not in err
+
+
 def test_env_precision_override(monkeypatch):
     from fpint.precision import default_precision
     monkeypatch.setenv("FPINT_PRECISION", "1e-9")
@@ -369,6 +386,33 @@ class TestJobFile:
         code, out, _ = run(capsys, [
             "eval-hilbert", "--job", str(job), "--omega", "0.4"])
         assert json.loads(out)["results"][0]["omega"] == 0.4
+
+    @pytest.mark.parametrize("command,fields", [
+        # fields whose flags default to a value other than None or False:
+        # verify's items / seed, every format, upper and probe_omega
+        ("verify", {"items": "C.1", "seed": 1, "format": "csv"}),
+        ("eval-fp", {"function": "exp_decay:a=1", "k": 2, "nu": 0.25, "upper": 3}),
+        ("eval-hilbert", {"variant": "one-sided", "function": "exp_decay:a=1",
+                          "omega": "0.2:0.4:3", "upper": 5.0, "format": "csv"}),
+        ("asym", {"variant": "one-sided", "function": "exp_decay:a=1",
+                  "probe_omega": -1e-3}),
+        ("list", {"kernel": "sym_omega", "format": "csv"}),
+    ])
+    def test_job_fields_act_as_flags(self, capsys, tmp_path, command, fields):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(fields))
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in fields.items()]
+        want = run(capsys, [command, *flags, "--hash-mode"])
+        assert run(capsys, [command, "--job", str(job), "--hash-mode"]) == want
+
+    def test_explicit_zero_flag_beats_job_field(self, capsys, tmp_path):
+        # --nu 0 is given; the job's nu must not replace it because 0.0 == False
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"variant": "one-sided", "function": "exp_decay:a=1",
+                                   "omega": "0.2", "nu": 0.25}))
+        code, out, _ = run(capsys, ["eval-hilbert", "--job", str(job), "--nu", "0",
+                                    "--hash-mode"])
+        assert code == 0 and json.loads(out)["nu"] == 0.0
 
     def test_series_field_refused_on_verify(self, capsys, tmp_path):
         job = tmp_path / "job.json"
@@ -407,3 +451,37 @@ def test_consecutive_calls_share_one_parser(capsys, tmp_path):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
     assert shared[1] == shared[-1]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    # every subcommand writes standard JSON: no NaN, Infinity or -Infinity,
+    # on answers and on recorded failures alike
+    @pytest.mark.parametrize("argv", [
+        ["eval-hilbert", "--variant", "one-sided", "--function", "exp_decay:a=1",
+         "--nu", "0.25", "--omega", "0.1:0.9:5"],
+        ["eval-hilbert", "--variant", "full-line", "--function", "exp_osc:a=1",
+         "--omega", "-2:2:5"],
+        ["eval-hilbert", "--variant", "sym-x", "--function", "sqrt_inv_quad:a=1.4",
+         "--nu", "0.3", "--omega", "1e-12", "--upper", "5"],
+        ["eval-hilbert", "--variant", "one-sided", "--function", "fermi:a=1",
+         "--omega", "3.05"],
+        ["eval-fp", "--function", "exp_decay:a=1", "--k", "3", "--nu", "0.5"],
+        ["eval-fp", "--function", "airy:a=1", "--k", "1", "--nu", "0.3", "--upper", "2"],
+        ["eval-fp", "--function", "j0_squared:a=0.7", "--k", "0", "--nu", "0.99"],
+        ["asym", "--variant", "one-sided", "--function", "exp_decay:a=1", "--nu", "0.25"],
+        ["asym", "--variant", "full-line", "--function", "sin:a=1"],
+        ["asym", "--variant", "sym-omega", "--function", "j0_squared:a=1"],
+        ["verify", "--items", "D.1*"],
+        # a sample refused on the generic route (ConvergenceDomain) has no
+        # pairwise error: it was written as Infinity
+        ["verify", "--items", "C.28", "--route", "generic"],
+        ["list", "--kernel", "sym_omega"],
+    ])
+    def test_stdout_is_standard_json(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--hash-mode"])
+        assert code in (0, 3) and "Traceback" not in err
+        json.loads(out, parse_constant=_refuse_constant)

@@ -287,6 +287,20 @@ class TestZeta:
     def test_refused_below_minus_half(self, s):
         _assert_refused(s)
 
+    @pytest.mark.parametrize("s", [60.0, 99.9, 100.0, 100.1, 500.0, 1000.0])
+    def test_prime_near_large_s_shortcut(self, s):
+        # zeta' is -ln 2 2^-s from s = 100 on; against mpmath on both sides
+        import mpmath as mp
+        with mp.workdps(40):
+            want = float(mp.zeta(s, derivative=1))
+        assert rel(sf.zeta_prime_real(s), want) < 1e-15
+
+    @pytest.mark.parametrize("s", [1075.0, 1e11, 1e200, math.inf])
+    def test_prime_underflows_to_minus_zero(self, s):
+        # the Euler-Maclaurin sum gave nan at 1e11 and OverflowError at 1e200
+        got = sf.zeta_prime_real(s)
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
     def test_minus_half_answers(self):
         # the lower edge of the domain, against mpmath, as TestZetaKernel
         assert rel(sf.zeta_real(-0.5), -0.20788622497735456602) < 1e-12
@@ -349,10 +363,21 @@ class TestJ0Accuracy:
         assert all(sf.bessel_j0(float(x)) == g for x, g in zip(self.X, got))
 
     def test_huge_argument(self):
-        # 1/x^2 would overflow; the filterwarnings of the suite makes a
-        # RuntimeWarning from specfun an error
-        x = 1e300
+        # the largest x that J0 answers stays in its envelope (the suite's
+        # filterwarnings makes a RuntimeWarning from specfun an error); at
+        # 1e300 it is refused (test_refused_past_phase_limit)
+        x = 2.0 ** 53
         assert abs(sf.bessel_j0(x)) <= math.sqrt(2.0 / (math.pi * x))
+        with pytest.raises(DomainError):
+            sf.bessel_j0(1e300)
+
+    @pytest.mark.parametrize("x", [2.0 ** 53 * (1 + 2 ** -52), 1e16, -1e20, 1e300,
+                                   np.array([1.0, 20.0, 1e20])])
+    def test_refused_past_phase_limit(self, x):
+        # past 2^53 the phase x - pi/4 keeps no digit: the value had the
+        # wrong sign at 1e16 and was 9 times too large at 1e20
+        with pytest.raises(DomainError):
+            sf.bessel_j0(x)
 
     def test_bitwise_array_independent(self):
         x = TestArrayIndependence.X
