@@ -248,7 +248,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    rows = catalog.list_items(kernel=args.kernel, function=args.function_filter)
+    rows = catalog.list_items(kernel=args.kernel, function=args.function)
     payload = {"command": "list", "results": rows}
     _emit(args, payload,
           ["id", "kind", "kernel", "function", "domain", "linked_fp_items",
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="list catalog items")
     p.add_argument("--kernel", default=None,
                    help="filter by kernel variant, e.g. sym_omega")
-    p.add_argument("--function", dest="function_filter", default=None,
+    p.add_argument("--function", default=None,
                    help="filter by integrand family, e.g. airy")
     _add_common(p)
     p.set_defaults(func=_cmd_list, required_fields=())
@@ -360,10 +360,11 @@ def _with_job_file(argv: list[str], args: argparse.Namespace) -> argparse.Namesp
         attr = key.replace("-", "_")
         if attr in _NOT_OPTIONS or not hasattr(args, attr):
             raise SchemaError(f"job file field {key!r} is not a known option")
+        flag = "--" + attr.replace("_", "-")
         if value is True:
-            flags.append("--" + attr.replace("_", "-"))
+            flags.append(flag)
         elif value is not False and value is not None:
-            flags.append(f"--{attr.replace('_', '-')}={value}")
+            flags.append(f"{flag}={value}")
     return _parser().parse_args([argv[0], *flags, *argv[1:]])
 
 

@@ -396,7 +396,7 @@ class TestJobFile:
                           "omega": "0.2:0.4:3", "upper": 5.0, "format": "csv"}),
         ("asym", {"variant": "one-sided", "function": "exp_decay:a=1",
                   "probe_omega": -1e-3}),
-        ("list", {"kernel": "sym_omega", "format": "csv"}),
+        ("list", {"kernel": "sym_omega", "function": "j0", "format": "csv"}),
     ])
     def test_job_fields_act_as_flags(self, capsys, tmp_path, command, fields):
         job = tmp_path / "job.json"
@@ -425,6 +425,15 @@ class TestJobFile:
         job.write_text(json.dumps({"variant": "one-sided", "bogus": 1}))
         code, _, _ = run(capsys, ["eval-hilbert", "--job", str(job)])
         assert code == 2
+
+
+def test_job_field_that_names_no_option(capsys, tmp_path):
+    # "func" is set by the parser itself; as a flag it would abbreviate --function
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"variant": "one-sided", "omega": "0.2",
+                               "func": "exp_decay:a=1"}))
+    code, out, err = run(capsys, ["eval-hilbert", "--job", str(job)])
+    assert (code, out) == (2, "") and "'func' is not a known option" in err
 
 
 def test_consecutive_calls_share_one_parser(capsys, tmp_path):

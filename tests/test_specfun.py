@@ -269,9 +269,8 @@ class TestZeta:
     def test_at_zero(self):
         assert sf.zeta_real(0.0) == -0.5
 
-    # zeta and zeta' are computed on [-1/2, inf] minus the pole; the library
-    # needs them only at s > 1, and below -1/2 they raise DomainError
-    # (a functional-equation branch that only its tests reached is gone)
+    # zeta and zeta' are computed on [-1/2, inf] minus the pole and refused
+    # below it: the library needs them only at s > 1
     def test_at_minus_one(self):
         _assert_refused(-1.0)
 
